@@ -2,13 +2,15 @@
 // through the batched predict_table path against an equivalent per-variant
 // prediction loop (one model invocation per (triple, GPU), re-encoding the
 // stencil each call — the cost profile of the pre-batching implementation).
-// The baseline is pinned to the legacy scalar kernels (SMART_SIMD off,
-// strict precision); the batched path is timed twice, once in the default
-// strict/f64 mode (checked BITWISE identical to the baseline) and once in
-// relaxed/f32 mode (checked against a relative-error gate; bitwise for GBR,
-// whose flattened traversal is exact). All runs are single-threaded
-// (util::SerialSection), so the speedups measure encoding caching +
-// vectorized kernels, not thread fan-out. Every timing is the min over
+// The baseline makes one-query predict_variants calls in strict precision,
+// so both sides run the same fused/flattened kernels and the baseline
+// differs only in paying the per-call encoding and model invocation. The
+// batched path is timed twice, once in the default strict/f64 mode (checked
+// BITWISE identical to the baseline) and once in relaxed/f32 mode (checked
+// against a relative-error gate; bitwise for GBR, whose flattened traversal
+// is exact). All runs are single-threaded (util::SerialSection), so the
+// speedups measure batching + encoding caching (+ the relaxed kernels for
+// f32), not thread fan-out. Every timing is the min over
 // SMART_BENCH_REPEATS runs (default 3) — the least-interference estimate.
 //
 // Appends one trajectory point per regressor kind to BENCH_advisor.json
@@ -48,7 +50,7 @@ std::string timestamp_utc() {
 struct BenchPoint {
   std::string kind;
   std::size_t pairs = 0;
-  double per_call_ms = 0.0;    // scalar strict baseline (SMART_SIMD off)
+  double per_call_ms = 0.0;    // one-query strict baseline
   double batched_ms = 0.0;     // batched, strict/f64 (bitwise contract)
   double batched_f32_ms = 0.0; // batched, relaxed/f32 (tolerance contract)
   double speedup = 0.0;        // per_call / batched_f32 (the headline)
@@ -156,17 +158,15 @@ int main() {
     std::vector<std::size_t> gpus(ds.num_gpus());
     for (std::size_t g = 0; g < gpus.size(); ++g) gpus[g] = g;
 
-    // Force one thread: the speedups below must come from the encoding
-    // cache and the vectorized kernels alone.
+    // Force one thread: the speedups below must come from batching, the
+    // encoding cache and the kernels alone.
     const util::SerialSection serial;
 
-    // Baseline: the legacy scalar path — per-variant calls with the fused/
-    // flattened kernels off and strict precision, i.e. the pre-SIMD cost
-    // profile.
+    // Baseline: one predict_variants call per (variant, GPU) in strict
+    // precision — one model invocation and one stencil encoding per query.
     std::vector<double> per_call(idxs.size() * gpus.size());
     double t_base = std::numeric_limits<double>::infinity();
     {
-      const ml::SimdSection simd_off(false);
       const ml::PrecisionSection strict(ml::Precision::kStrict);
       for (int rep = 0; rep < repeats; ++rep) {
         t_base = std::min(t_base, wall_ms([&] {
@@ -174,9 +174,10 @@ int main() {
           for (const std::size_t idx : idxs) {
             const auto& ins = task.instances()[idx];
             for (const std::size_t g : gpus) {
-              per_call[i++] = task.predict_variant(
-                  ds.stencils[ins.stencil], ds.problems[ins.stencil], ins.oc,
-                  ds.settings[ins.stencil][ins.oc][ins.setting], g);
+              const core::VariantQuery query{
+                  &ds.stencils[ins.stencil], ds.problems[ins.stencil], ins.oc,
+                  ds.settings[ins.stencil][ins.oc][ins.setting], g};
+              per_call[i++] = task.predict_variants({&query, 1})[0];
             }
           }
         }));
@@ -187,7 +188,6 @@ int main() {
     core::PredictionTable pred_table;
     double t_batch = std::numeric_limits<double>::infinity();
     {
-      const ml::SimdSection simd_on(true);
       const ml::PrecisionSection strict(ml::Precision::kStrict);
       for (int rep = 0; rep < repeats; ++rep) {
         t_batch = std::min(
@@ -207,7 +207,6 @@ int main() {
     core::PredictionTable f32_table;
     double t_f32 = std::numeric_limits<double>::infinity();
     {
-      const ml::SimdSection simd_on(true);
       const ml::PrecisionSection relaxed(ml::Precision::kRelaxed);
       for (int rep = 0; rep < repeats; ++rep) {
         t_f32 = std::min(

@@ -1,15 +1,15 @@
 // Serve-mode throughput bench: a resident AdvisorServer answering the full
 // advise/predict request corpus versus the repeated-cold baseline (what
 // `smartctl advise --model` costs per query: deserialize the artifact, run
-// one advise + recommend, throw the process state away). The in-process
+// one one-item advise_batch, throw the process state away). The in-process
 // cold loop is a CONSERVATIVE stand-in for the real thing — it skips
 // process spawn and page-cache-cold reads — so the reported speedup is a
 // floor on the end-user win.
 //
 // Before any timing is reported, a sampled equivalence gate unescapes serve
-// replies and compares them byte-for-byte against per-item
-// advise()/recommend_gpu() reports (exit 1 on divergence): throughput
-// numbers for wrong answers are worthless.
+// replies and compares them byte-for-byte against one-item advise_batch
+// reports (exit 1 on divergence): throughput numbers for wrong answers are
+// worthless.
 //
 // Appends one trajectory point to BENCH_serve.json (override with
 // SMART_BENCH_JSON; scripts/check.sh runs this as a bench-smoke step).
@@ -160,20 +160,22 @@ int main() {
   }
   const int kPasses = 3;
 
-  // --- cold baseline: load + advise + recommend per request, on a sample
-  // (the whole corpus cold would take minutes at paper scale for no extra
-  // information — the per-request cost is flat).
+  // The one-item advise_batch call a request costs; predict requests skip
+  // the rental recommendation.
+  const auto single_item = [&](std::size_t i) {
+    return core::AdviseBatchItem{patterns[i], pattern_gpu[i], i % 4 != 3};
+  };
+
+  // --- cold baseline: load + one-item advise_batch per request, on a
+  // sample (the whole corpus cold would take minutes at paper scale for no
+  // extra information — the per-request cost is flat).
   const std::size_t cold_sample =
       std::min(patterns.size(), static_cast<std::size_t>(10));
   const double cold_total_ms = wall_ms([&] {
     for (std::size_t i = 0; i < cold_sample; ++i) {
       const core::StencilMart cold = core::load_model(model_path);
-      const auto advice = cold.advise(patterns[i], pattern_gpu[i]);
-      (void)advice;
-      if (i % 4 != 3) {
-        const auto rec = cold.recommend_gpu(patterns[i]);
-        (void)rec;
-      }
+      const core::AdviseBatchItem item = single_item(i);
+      (void)cold.advise_batch({&item, 1});
     }
   });
   const double cold_ms_per_req =
@@ -215,9 +217,10 @@ int main() {
       break;
     }
     if (i % 4 == 3) continue;  // predict replies checked structurally above
+    const core::AdviseBatchItem item = single_item(i);
+    const core::AdviseBatchResult result = mart.advise_batch({&item, 1})[0];
     const std::string want = core::advise_report(
-        patterns[i], pattern_gpu[i], mart.advise(patterns[i], pattern_gpu[i]),
-        mart.recommend_gpu(patterns[i]));
+        patterns[i], pattern_gpu[i], result.advice, result.rec);
     identical =
         core::serve::unescape_text(replies[i].substr(prefix.size())) == want;
   }
@@ -318,7 +321,7 @@ int main() {
             << (identical ? "verified" : "FAILED") << ")\n";
 
   if (!identical) {
-    std::cout << "FAIL: serve replies diverge from advise()/recommend_gpu()\n";
+    std::cout << "FAIL: serve replies diverge from one-item advise_batch\n";
     return 1;
   }
   if (!concurrent_identical) {

@@ -26,21 +26,20 @@ echo "== ctest (SMART_THREADS=1) =="
 echo "== ctest (unrestricted threads) =="
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
 
-echo "== SIMD/precision equivalence gates (SMART_SIMD {0,1} x SMART_THREADS {1,4}) =="
-# The vectorized inference layer (DESIGN.md §13) must hold its contracts with
-# the fused/flattened kernels both off and on, serially and under the task
-# pool: strict/f64 bit-identical to the scalar walk, relaxed/f32 inside the
-# tolerance gate, batch-size and thread-count invariant.
+echo "== SIMD/precision equivalence gates (SMART_THREADS {1,4}) =="
+# The vectorized inference layer (DESIGN.md §13) must hold its contracts
+# serially and under the task pool: strict/f64 bit-identical to the
+# test-local scalar references (forward(), the per-row tree walk),
+# relaxed/f32 inside the tolerance gate, batch-size and thread-count
+# invariant.
 EQUIV_FILTER='SimdKernels.*:FlatForest.*:FeatureBinner.*'
 EQUIV_FILTER="$EQUIV_FILTER:PrecisionEquivalence.*:ParallelPrecisionEquivalence.*"
-for simd in 0 1; do
-  for threads in 1 4; do
-    echo "  SMART_SIMD=$simd SMART_THREADS=$threads"
-    SMART_SIMD=$simd SMART_THREADS=$threads "$BUILD_DIR/tests/smart_tests" \
-      --gtest_brief=1 --gtest_filter="$EQUIV_FILTER" | sed 's/^/    /'
-  done
+for threads in 1 4; do
+  echo "  SMART_THREADS=$threads"
+  SMART_THREADS=$threads "$BUILD_DIR/tests/smart_tests" \
+    --gtest_brief=1 --gtest_filter="$EQUIV_FILTER" | sed 's/^/    /'
 done
-echo "OK: equivalence suites pass with SMART_SIMD=0/1 at 1 and 4 threads"
+echo "OK: equivalence suites pass at 1 and 4 threads"
 
 echo "== determinism digest (SMART_THREADS=1 vs default) =="
 SMARTCTL="$BUILD_DIR/tools/smartctl"
@@ -417,23 +416,6 @@ for mb in 1 8 64; do
 done
 echo "OK: reply sets byte-identical across max-batch {1,8,64} x threads {1,4} x shuffled arrival"
 
-# SMART_SIMD=0 must not change one reply byte: the fused/flattened strict
-# kernels carry the same bit-exact contract as the scalar walk they replace.
-start_serve 4 --max-batch 8 --max-wait-us 200 --simd 0
-"$HARNESS" --socket "$SOCK" --requests "$ARTDIR/serve_requests.txt" \
-  --shuffle 7 --print sorted --shutdown-after > "$ARTDIR/serve_sorted.txt"
-if ! wait "$serve_pid"; then
-  echo "FAIL: daemon exited non-zero after shutdown verb (--simd 0 leg)" >&2
-  exit 1
-fi
-serve_pid=""
-if ! cmp -s "$ARTDIR/serve_sorted.txt" "$golden"; then
-  echo "FAIL: --simd 0 reply set diverged from the SIMD reply set" >&2
-  diff "$golden" "$ARTDIR/serve_sorted.txt" >&2 || true
-  exit 1
-fi
-echo "OK: --simd 0 daemon replies byte-identical to the vectorized daemon"
-
 echo "== serve daemon: --precision f32 determinism matrix =="
 # The relaxed kernels are batch-size- and thread-count-invariant per element
 # (DESIGN.md §13), so an f32 daemon's reply set must also be byte-identical
@@ -465,9 +447,11 @@ done
 echo "OK: --precision f32 reply sets byte-identical across max-batch {1,64} x threads {1,4}"
 
 echo "== serve daemon: golden equivalence vs one-shot advise --model =="
-# serve answers through advise_batch plus the wire codec; the CLI answers
-# through per-call advise(). Unescaped serve replies in id order must be
-# byte-identical to the concatenated one-shot CLI outputs.
+# Both sides compute through advise_batch: the CLI with one item per
+# process, the daemon through the wire codec, the response memo and
+# admission batching. Unescaped serve replies in id order must be
+# byte-identical to the concatenated one-shot CLI outputs, which pins the
+# codec, the memo and batching to the CLI bytes.
 T_SHAPES=(star star box cross)
 T_ORDERS=(1 2 1 3)
 T_GPUS=(V100 A100 P100 2080Ti)
@@ -800,13 +784,11 @@ cmake --build "$ASAN_DIR" -j"$(nproc)" --target smart_tests smartctl serve_harne
 (cd "$ASAN_DIR" && UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j"$(nproc)" -L unit)
 # The unit label already covers the SIMD kernel + precision suites; add the
 # parallel-pool precision suite so the vectorized kernels also run sanitized
-# under the task pool, with the fused/flattened paths on and off.
-for simd in 0 1; do
-  echo "  sanitized equivalence pass: SMART_SIMD=$simd"
-  SMART_SIMD=$simd UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tests/smart_tests" \
-    --gtest_brief=1 \
-    --gtest_filter='ParallelPrecisionEquivalence.*:SimdKernels.*' | sed 's/^/    /'
-done
+# under the task pool.
+echo "  sanitized equivalence pass"
+UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tests/smart_tests" \
+  --gtest_brief=1 \
+  --gtest_filter='ParallelPrecisionEquivalence.*:SimdKernels.*' | sed 's/^/    /'
 echo "OK: unit suite clean under AddressSanitizer + UBSan"
 
 echo "== sanitized serve daemon vs the fuzz corpus =="
@@ -923,7 +905,7 @@ SMART_SCALE=${SMART_BENCH_SCALE:-0.05} \
 
 echo "== bench smoke: serve-mode resident daemon =="
 # The bench fails (exit 1) if any serve reply is not byte-identical to the
-# per-item advise()/recommend_gpu() report, and appends a trajectory point
+# one-item advise_batch report, and appends a trajectory point
 # to BENCH_serve.json. The >= 10x resident-vs-cold speedup acceptance gate
 # applies at SMART_SCALE=1 (the paper's 500-stencil corpus); the smoke
 # scale only checks equivalence and liveness.

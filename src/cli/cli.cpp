@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -237,7 +238,7 @@ int cmd_merge(const CommandLine& cmd, std::ostream& out) {
   return 0;
 }
 
-int cmd_ocs(std::ostream& out) {
+int cmd_ocs(const CommandLine&, std::ostream& out) {
   util::Table table({"idx", "combination"});
   const auto& all = gpusim::valid_combinations();
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -247,7 +248,7 @@ int cmd_ocs(std::ostream& out) {
   return 0;
 }
 
-int cmd_gpus(std::ostream& out) {
+int cmd_gpus(const CommandLine&, std::ostream& out) {
   util::Table table({"GPU", "Mem(GB)", "BW(GB/s)", "SMs", "TFLOPS", "$/hr"});
   for (const auto& gpu : gpusim::evaluation_gpus()) {
     table.row()
@@ -332,14 +333,11 @@ int cmd_advise(const CommandLine& cmd, std::ostream& out) {
     }
   }
 
-  // Deliberately the per-item advise()/recommend_gpu() pair — the serve
-  // daemon goes through advise_batch(), so the serve-vs-CLI golden
-  // equivalence gate compares two genuinely different code paths. Only the
-  // report FORMATTER is shared (core::advise_report).
-  const std::string gpu = cmd.get("gpu", "V100");
-  const auto advice = mart->advise(pattern, gpu);
-  const auto rec = mart->recommend_gpu(pattern);
-  out << core::advise_report(pattern, gpu, advice, rec);
+  // The same one-item advise_batch computation the serve daemon batches.
+  const core::AdviseBatchItem item{pattern, cmd.get("gpu", "V100")};
+  const core::AdviseBatchResult result = mart->advise_batch({&item, 1})[0];
+  if (!result.ok()) throw std::runtime_error(result.error);
+  out << core::advise_report(pattern, item.gpu, result.advice, result.rec);
   if (cmd.get_int("timing", 0) != 0) out << util::timing_report();
   return 0;
 }
@@ -437,10 +435,8 @@ class ServeConnection {
   std::exception_ptr error_;
 };
 
-enum class ConnEnd { kShutdown, kEof, kStop };
-
-ConnEnd serve_connection(core::AdvisorServer& server, int read_fd,
-                         int write_fd) {
+void serve_connection(core::AdvisorServer& server, int read_fd,
+                      int write_fd) {
   ServeConnection conn(read_fd, write_fd);
   const auto sink = conn.sink();
   std::string line;
@@ -452,12 +448,11 @@ ConnEnd serve_connection(core::AdvisorServer& server, int read_fd,
         // (graceful drain — no request is dropped), then leave.
         server.drain();
         conn.rethrow_write_error();
-        return r == util::LineChannel::ReadResult::kEof ? ConnEnd::kEof
-                                                        : ConnEnd::kStop;
+        return;
       }
       const bool keep = server.submit(line, sink);
       conn.rethrow_write_error();
-      if (!keep) return ConnEnd::kShutdown;
+      if (!keep) return;
     }
   } catch (...) {
     // The server queue still holds sinks that capture `conn`; flush them
@@ -670,10 +665,6 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
     throw std::invalid_argument("serve: --write-timeout-ms must be >= 0");
   }
   config.precision = precision_option(cmd, "serve");
-  config.simd = cmd.get_int("simd", -1);
-  if (config.simd < -1 || config.simd > 1) {
-    throw std::invalid_argument("serve: --simd must be 0 or 1");
-  }
   // --faults scopes an injected accept/read/write fault schedule to this
   // daemon (chaos harness); it overrides and restores SMART_FAULTS.
   std::optional<util::ScopedFaultInjection> faults;
@@ -866,6 +857,43 @@ int cmd_features(const CommandLine& cmd, std::ostream& out) {
   return 0;
 }
 
+/// A subcommand and every option key its code reads. Any other key is a
+/// usage error raised before the command does any work, so a typo or a
+/// retired flag is never silently ignored.
+struct Subcommand {
+  const char* name;
+  std::vector<std::string> options;
+  int (*run)(const CommandLine&, std::ostream&);
+};
+
+const std::vector<Subcommand>& subcommands() {
+  static const std::vector<Subcommand> table = {
+      {"generate", {"dims", "order", "seed", "count"}, cmd_generate},
+      {"profile",
+       {"dims", "stencils", "samples", "seed", "journal", "resume", "retries",
+        "shard", "plan", "faults", "checksum", "timing", "out"},
+       cmd_profile},
+      {"merge", {"out", "checksum", "timing"}, cmd_merge},
+      {"ocs", {}, cmd_ocs},
+      {"gpus", {}, cmd_gpus},
+      {"train",
+       {"out", "corpus", "dims", "stencils", "seed", "timing"},
+       cmd_train},
+      {"advise",
+       {"shape", "dims", "order", "gpu", "model", "corpus", "precision",
+        "stencils", "seed", "timing"},
+       cmd_advise},
+      {"serve",
+       {"model", "stdio", "socket", "max-batch", "max-wait-us", "max-queue",
+        "deadline-us", "max-conns", "max-inflight", "idle-timeout-ms",
+        "write-timeout-ms", "precision", "faults", "timing"},
+       cmd_serve},
+      {"codegen", {"shape", "dims", "order", "oc", "seed"}, cmd_codegen},
+      {"features", {"shape", "dims", "order"}, cmd_features},
+  };
+  return table;
+}
+
 }  // namespace
 
 std::string CommandLine::get(const std::string& key,
@@ -944,7 +972,7 @@ std::string usage() {
   return
       "smartctl — StencilMART command line\n"
       "  (SMART_THREADS caps the task pool; SMART_TIMING=1 prints counters;\n"
-      "   SMART_SIMD=0 scalar inference; SMART_PRECISION=f32 relaxed FP)\n"
+      "   SMART_PRECISION=f32 relaxed FP)\n"
       "  generate --dims D --order N --count K [--seed S]   random stencils\n"
       "  profile  --dims D --stencils N [--out FILE]        build a corpus\n"
       "           [--checksum] [--timing]                   determinism digest\n"
@@ -966,27 +994,29 @@ std::string usage() {
       "           [--deadline-us U] [--max-inflight N]\n"
       "           [--idle-timeout-ms T] [--write-timeout-ms T]\n"
       "           [--faults SPEC]                            accept/read/write chaos\n"
-      "           [--precision f64|f32] [--simd 0|1]         f32 = relaxed-FP inference\n"
+      "           [--precision f64|f32]                      f32 = relaxed-FP inference\n"
       "           (line protocol: advise|predict|stats|ping|healthz|reload|shutdown;\n"
       "            batches concurrent requests, memoizes per stencil;\n"
       "            SIGHUP or `reload` hot-swaps the --model artifact)\n"
       "  codegen  --shape ... --dims D --order N --oc NAME  emit CUDA\n"
+      "           [--seed S]                                 tunable setting draw\n"
       "  features --shape ... --dims D --order N            Table II vector\n"
       "  ocs                                                Table I OCs\n"
       "  gpus                                               Table III GPUs\n";
 }
 
 int run_command(const CommandLine& cmd, std::ostream& out) {
-  if (cmd.command == "generate") return cmd_generate(cmd, out);
-  if (cmd.command == "profile") return cmd_profile(cmd, out);
-  if (cmd.command == "merge") return cmd_merge(cmd, out);
-  if (cmd.command == "ocs") return cmd_ocs(out);
-  if (cmd.command == "gpus") return cmd_gpus(out);
-  if (cmd.command == "train") return cmd_train(cmd, out);
-  if (cmd.command == "advise") return cmd_advise(cmd, out);
-  if (cmd.command == "serve") return cmd_serve(cmd, out);
-  if (cmd.command == "codegen") return cmd_codegen(cmd, out);
-  if (cmd.command == "features") return cmd_features(cmd, out);
+  for (const Subcommand& sub : subcommands()) {
+    if (cmd.command != sub.name) continue;
+    for (const auto& option : cmd.options) {
+      if (std::find(sub.options.begin(), sub.options.end(), option.first) ==
+          sub.options.end()) {
+        throw std::invalid_argument(cmd.command + ": unknown option --" +
+                                    option.first);
+      }
+    }
+    return sub.run(cmd, out);
+  }
   out << usage();
   return cmd.command.empty() || cmd.command == "help" ? 0 : 2;
 }

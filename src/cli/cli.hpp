@@ -9,7 +9,7 @@
 //   smartctl advise   --model model.smart --shape star --order 2 --gpu V100
 //   smartctl advise   --corpus corpus.txt --shape star --order 2 --gpu V100
 //   smartctl serve    --model model.smart --socket /tmp/smart.sock
-//   smartctl codegen  --shape box --dims 3 --order 2 --oc ST_RT [--out dir]
+//   smartctl codegen  --shape box --dims 3 --order 2 --oc ST_RT
 //
 // The argument parser and command dispatch live in the library so they are
 // unit-testable; tools/smartctl.cpp is a thin main().
@@ -47,7 +47,8 @@ CommandLine parse_command_line(const std::vector<std::string>& args);
 
 /// Executes a parsed command, writing human-readable output to `out`.
 /// Returns a process exit code (0 = success). Unknown commands print the
-/// usage text and return 2.
+/// usage text and return 2; an option the command does not read throws
+/// std::invalid_argument before any work starts.
 int run_command(const CommandLine& cmd, std::ostream& out);
 
 /// The usage/help text.

@@ -64,32 +64,8 @@ void StencilMart::fit_models() {
   trained_ = true;
 }
 
-std::size_t StencilMart::gpu_index(const std::string& name) const {
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    if (dataset_->gpus[g].name == name) return g;
-  }
-  throw std::out_of_range("StencilMart: unknown GPU " + name);
-}
-
-OcAdvice StencilMart::advise(const stencil::StencilPattern& pattern,
-                             const std::string& gpu_name) const {
-  if (!trained_) throw std::logic_error("StencilMart::advise before train()");
-  const std::size_t g = gpu_index(gpu_name);
-  OcAdvice advice = advise_variant(pattern, g);
-  advice.predicted_time_ms = regression_->predict_variant(
-      pattern, gpusim::ProblemSize::paper_default(pattern.dims()),
-      static_cast<std::size_t>(gpusim::oc_index(advice.oc)), advice.setting, g);
-  return advice;
-}
-
 OcAdvice StencilMart::advise_variant(const stencil::StencilPattern& pattern,
                                      std::size_t g) const {
-  if (pattern.dims() != config_.profile.dims) {
-    throw std::invalid_argument(
-        "StencilMart::advise: pattern dimensionality differs from the "
-        "training corpus");
-  }
-
   const auto fv = stencil::extract_features(pattern, config_.profile.max_order)
                       .to_vector();
   const std::vector<float> row(fv.begin(), fv.end());
@@ -168,8 +144,6 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
   for (std::size_t i = 0; i < items.size(); ++i) {
     const AdviseBatchItem& item = items[i];
     if (item.pattern.dims() != config_.profile.dims) {
-      // Same diagnostics advise() throws, so serve-mode error replies match
-      // the one-shot CLI behaviour.
       results[i].error =
           "StencilMart::advise: pattern dimensionality differs from the "
           "training corpus";
@@ -245,13 +219,14 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     }
     out.advice = own.advice;
     if (!plan.recommend) continue;
-    // Same fold as recommend_gpu(), over the same per-GPU advised variants.
+    // Rental fold over the per-GPU advised variants: the fastest predicted
+    // time, and the cheapest time x $/hr among GPUs with a rental price.
     double best_time = std::numeric_limits<double>::infinity();
     double best_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t g = 0; g < num_gpus && out.error.empty(); ++g) {
+    for (std::size_t g = 0; g < num_gpus; ++g) {
       const VariantJob& job = jobs[plan.rec_jobs[g]];
       if (!job.error.empty()) {
-        out.error = job.error;  // recommend_gpu() would have thrown here
+        out.error = job.error;
         break;
       }
       const double predicted_time_ms = job.advice.predicted_time_ms;
@@ -272,49 +247,6 @@ std::vector<AdviseBatchResult> StencilMart::advise_batch(
     }
   }
   return results;
-}
-
-GpuRecommendation StencilMart::recommend_gpu(
-    const stencil::StencilPattern& pattern) const {
-  if (!trained_) throw std::logic_error("StencilMart::recommend_gpu before train()");
-
-  // Classify + tune per GPU, then predict every advised variant in ONE
-  // batched regression call (the pattern is encoded once for the sweep).
-  const auto problem = gpusim::ProblemSize::paper_default(pattern.dims());
-  std::vector<OcAdvice> advices;
-  std::vector<VariantQuery> queries;
-  advices.reserve(dataset_->num_gpus());
-  queries.reserve(dataset_->num_gpus());
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    advices.push_back(advise_variant(pattern, g));
-    queries.push_back(
-        {&pattern, problem,
-         static_cast<std::size_t>(gpusim::oc_index(advices.back().oc)),
-         advices.back().setting, g});
-  }
-  const std::vector<double> predicted = regression_->predict_variants(queries);
-
-  GpuRecommendation rec;
-  double best_time = std::numeric_limits<double>::infinity();
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
-    const double predicted_time_ms = predicted[g];
-    if (predicted_time_ms < best_time) {
-      best_time = predicted_time_ms;
-      rec.fastest_gpu = dataset_->gpus[g].name;
-      rec.fastest_time_ms = predicted_time_ms;
-    }
-    const double price = dataset_->gpus[g].rental_usd_hr;
-    if (price > 0.0) {
-      const double score = predicted_time_ms * price;
-      if (score < best_cost) {
-        best_cost = score;
-        rec.cheapest_gpu = dataset_->gpus[g].name;
-        rec.cheapest_cost_score = score;
-      }
-    }
-  }
-  return rec;
 }
 
 }  // namespace smart::core

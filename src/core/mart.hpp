@@ -3,11 +3,11 @@
 //
 //   smart::core::StencilMart mart(config);
 //   mart.train();                               // profile + fit all models
-//   auto advice = mart.advise(my_pattern, "V100");
-//   // -> which merged OC group to tune, its representative OC, a concrete
-//   //    parameter setting, and the predicted execution time
-//   auto rental = mart.recommend_gpu(my_pattern);
-//   // -> best-performance GPU and most cost-efficient rental
+//   const smart::core::AdviseBatchItem item{my_pattern, "V100"};
+//   const auto result = mart.advise_batch({&item, 1})[0];
+//   // result.advice -> which merged OC group to tune, its representative
+//   //    OC, a concrete parameter setting, and the predicted execution time
+//   // result.rec    -> best-performance GPU and most cost-efficient rental
 #pragma once
 
 #include <iosfwd>
@@ -29,7 +29,7 @@ struct MartConfig {
   ProfileConfig profile{};
   RegressionConfig regression{};
   RegressorKind regressor = RegressorKind::kGbr;  // fastest to train
-  int tuning_samples = 24;  // random-search budget used by advise()
+  int tuning_samples = 24;  // random-search budget of the advised OC
 };
 
 struct OcAdvice {
@@ -58,8 +58,7 @@ struct AdviseBatchItem {
 
 /// Per-item outcome of advise_batch(). An invalid item (unknown GPU, wrong
 /// dimensionality, no runnable variant) carries the diagnostic in `error`
-/// instead of failing the whole batch — exactly the message the equivalent
-/// single advise()/recommend_gpu() call would have thrown.
+/// instead of failing the whole batch.
 struct AdviseBatchResult {
   OcAdvice advice{};
   GpuRecommendation rec{};  // filled only when the item asked for it
@@ -81,23 +80,18 @@ class StencilMart {
   void train(const ProfileDataset& dataset);
   bool trained() const noexcept { return trained_; }
 
-  /// Best-OC advice for a (possibly unseen) stencil on a named GPU.
-  OcAdvice advise(const stencil::StencilPattern& pattern,
-                  const std::string& gpu_name) const;
-
-  /// Cross-architecture rental recommendation for a stencil: per GPU, the
-  /// model predicts the time of the advised variant; cost efficiency
-  /// weighs it by rental price (GPUs without a price are skipped there).
-  GpuRecommendation recommend_gpu(const stencil::StencilPattern& pattern) const;
-
-  /// Batched advise + recommend: classification and tuning run once per
-  /// distinct (stencil, GPU) variant across the whole batch (parallel on
-  /// the task pool), and every regression estimate of the batch is funnelled
-  /// through ONE predict_variants call. Each result is bit-identical to the
-  /// per-item advise()/recommend_gpu() pair — batching and within-batch
-  /// deduplication change cost, never values — which is the determinism
-  /// contract the serve daemon's admission batcher is built on. Item
-  /// patterns must stay alive for the duration of the call.
+  /// Best-OC advice for (possibly unseen) stencils on named GPUs, plus the
+  /// cross-architecture rental recommendation for items that ask for it:
+  /// per GPU, the model predicts the time of the advised variant; cost
+  /// efficiency weighs it by rental price (GPUs without a price are skipped
+  /// there). Classification and tuning run once per distinct (stencil, GPU)
+  /// variant across the whole batch (parallel on the task pool), and every
+  /// regression estimate of the batch is funnelled through ONE
+  /// predict_variants call. Each result is bit-identical to a one-item call
+  /// for that item — batching and within-batch deduplication change cost,
+  /// never values — which is the determinism contract the serve daemon's
+  /// admission batcher is built on. Item patterns must stay alive for the
+  /// duration of the call.
   std::vector<AdviseBatchResult> advise_batch(
       std::span<const AdviseBatchItem> items) const;
 
@@ -106,8 +100,6 @@ class StencilMart {
   const MartConfig& config() const noexcept { return config_; }
 
  private:
-  std::size_t gpu_index(const std::string& name) const;
-
   /// Fits merger, per-GPU classifiers and the regressor on *dataset_.
   void fit_models();
 
@@ -117,8 +109,8 @@ class StencilMart {
   friend StencilMart load_model(std::istream& in, const std::string& source);
 
   /// Classification + tuning for one GPU, without the regression estimate
-  /// (predicted_time_ms stays 0). advise() adds a single prediction;
-  /// recommend_gpu() batches the predictions of all GPUs into one call.
+  /// (predicted_time_ms stays 0; advise_batch adds it). The pattern's
+  /// dimensionality must match the corpus (advise_batch checks it).
   OcAdvice advise_variant(const stencil::StencilPattern& pattern,
                           std::size_t g) const;
 

@@ -116,25 +116,16 @@ ml::Matrix RegressionTask::build_aux_features(
   return out;
 }
 
-double RegressionTask::predict_variant(const stencil::StencilPattern& pattern,
-                                       const gpusim::ProblemSize& problem,
-                                       std::size_t oc,
-                                       const gpusim::ParamSetting& setting,
-                                       std::size_t gpu) const {
-  const VariantQuery query{&pattern, problem, oc, setting, gpu};
-  return predict_variants({&query, 1})[0];
-}
-
 std::vector<double> RegressionTask::predict_variants(
     std::span<const VariantQuery> queries) const {
-  if (!fitted_) throw std::logic_error("predict_variant before fit_full");
+  if (!fitted_) throw std::logic_error("predict_variants before fit_full");
   const util::PhaseTimer timer("infer.predict_batch", queries.size());
   const bool include_sf = fitted_kind_ != RegressorKind::kConvMlp;
   const bool want_tensor = fitted_kind_ == RegressorKind::kConvMlp;
   const std::size_t dim = cache_.aux_dim(include_sf);
 
-  // Per-call pattern memo: a one-pattern sweep over GPUs/settings (the
-  // facade's recommend_gpu) encodes the stencil once, not once per query.
+  // Per-call pattern memo: a one-pattern sweep over GPUs/settings (an
+  // advise_batch rental item) encodes the stencil once, not once per query.
   struct PatternEncoding {
     const stencil::StencilPattern* pattern = nullptr;
     std::vector<float> features;
@@ -383,6 +374,14 @@ void RegressionTask::load_fitted(std::istream& in) {
   convmlp_.reset();
   if (kind == RegressorKind::kGbr) {
     gbr_ = std::make_unique<ml::GbdtRegressor>(ml::GbdtRegressor::load(in));
+    // A split on a feature past the row end would read out of bounds on
+    // every prediction that reaches it.
+    if (gbr_->feature_span() > cache_.aux_dim(true)) {
+      throw std::runtime_error(
+          "RegressionTask::load_fitted: GBR tree splits on feature " +
+          std::to_string(gbr_->feature_span() - 1) + " of a " +
+          std::to_string(cache_.aux_dim(true)) + "-wide feature row");
+    }
   } else if (kind == RegressorKind::kMlp) {
     mlp_ = std::make_unique<ml::NnRegressor>(ml::NnRegressor::load(in));
   } else {

@@ -124,17 +124,12 @@ class RegressionTask {
   /// Measured time of instance idx's triple on `gpu` (NaN if crashed).
   double measured(std::size_t idx, std::size_t gpu) const;
 
-  /// Predicted time (ms) for an arbitrary variant that need not be in the
+  /// Predicted times (ms) for arbitrary variants that need not be in the
   /// dataset — the entry point the StencilMart facade uses for unseen
-  /// stencils. Requires fit_full(). Delegates to predict_variants().
-  double predict_variant(const stencil::StencilPattern& pattern,
-                         const gpusim::ProblemSize& problem, std::size_t oc,
-                         const gpusim::ParamSetting& setting,
-                         std::size_t gpu) const;
-
-  /// Batched form of predict_variant(): out[i] is bit-identical to the
-  /// per-query call. Distinct patterns are encoded once per call, so a
-  /// one-pattern x many-GPU sweep (recommend_gpu) encodes the stencil once.
+  /// stencils. Requires fit_full(). out[i] is bit-identical to a one-query
+  /// call on queries[i]. Distinct patterns are encoded once per call, so a
+  /// one-pattern x many-GPU sweep (a rental recommendation) encodes the
+  /// stencil once.
   std::vector<double> predict_variants(
       std::span<const VariantQuery> queries) const;
 

@@ -415,6 +415,10 @@ StencilMart load_model(std::istream& in, const std::string& source) {
       throw std::runtime_error(
           "load_model: classifier count does not match the GPU table");
     }
+    mart.regression_ =
+        std::make_unique<RegressionTask>(*mart.dataset_, config.regression);
+    const std::size_t stencil_width =
+        mart.regression_->encoding_cache().stencil_dim();
     mart.classifiers_.clear();
     mart.classifiers_.reserve(num_classifiers);
     for (std::size_t g = 0; g < num_classifiers; ++g) {
@@ -423,9 +427,16 @@ StencilMart load_model(std::istream& in, const std::string& source) {
         throw std::runtime_error(
             "load_model: classifier class count does not match the OC grouping");
       }
+      // Classifiers read the Table II feature row; a split past its end
+      // would read out of bounds on every advise that reaches it.
+      const std::size_t span = mart.classifiers_.back().feature_span();
+      if (span > stencil_width) {
+        throw std::runtime_error(
+            "load_model: classifier " + std::to_string(g) +
+            " splits on feature " + std::to_string(span - 1) + " of a " +
+            std::to_string(stencil_width) + "-wide stencil feature row");
+      }
     }
-    mart.regression_ =
-        std::make_unique<RegressionTask>(*mart.dataset_, config.regression);
     mart.regression_->load_fitted(payload);
     std::string extra;
     if (payload >> extra) {

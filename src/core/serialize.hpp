@@ -55,12 +55,13 @@ ProfileDataset load_dataset(const std::string& path);
 void save_model(const StencilMart& mart, std::ostream& out);
 void save_model(const StencilMart& mart, const std::string& path);
 
-/// Reads a model artifact back into a ready-to-serve StencilMart: advise()
-/// and recommend_gpu() work immediately, predict bit-identically to the
-/// saved instance, and need no profiling corpus (the loaded mart carries a
+/// Reads a model artifact back into a ready-to-serve StencilMart:
+/// advise_batch() works immediately, predicts bit-identically to the saved
+/// instance, and needs no profiling corpus (the loaded mart carries a
 /// zero-stencil serving dataset). Throws std::runtime_error with a distinct
 /// message for bad magic, unsupported version, truncation, checksum
-/// mismatch, and malformed payload; payload parse errors carry
+/// mismatch, and malformed payload — including a tree that splits on a
+/// feature past the end of the row it reads; payload parse errors carry
 /// "<source>: payload byte offset N: ..." context. Records
 /// "serialize.load".
 StencilMart load_model(std::istream& in,

@@ -14,6 +14,7 @@ void FlatForest::build(std::span<const RegressionTree> trees) {
   weight_.clear();
   root_.clear();
   steps_.clear();
+  feature_span_ = 0;
 
   std::size_t total = 0;
   for (const RegressionTree& tree : trees) {
@@ -54,6 +55,8 @@ void FlatForest::build(std::span<const RegressionTree> trees) {
         left_.push_back(self);
         right_.push_back(self);
       } else {
+        feature_span_ =
+            std::max(feature_span_, static_cast<std::size_t>(n.feature) + 1);
         feature_.push_back(n.feature);
         threshold_.push_back(n.threshold);
         left_.push_back(base + n.left);

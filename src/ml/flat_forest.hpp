@@ -37,7 +37,9 @@ class FlatForest {
   void build(std::span<const RegressionTree> trees);
 
   std::size_t num_trees() const noexcept { return root_.size(); }
-  bool empty() const noexcept { return root_.empty(); }
+  /// One past the largest split feature index (0 for leaf-only forests):
+  /// the narrowest row leaf_weights() can read without going out of bounds.
+  std::size_t feature_span() const noexcept { return feature_span_; }
 
   /// Writes tree `t`'s leaf weight for rows [begin, end) of x into
   /// out[0 .. end-begin). Bit-identical to predict_row on each row.
@@ -53,6 +55,7 @@ class FlatForest {
   std::vector<double> weight_;
   std::vector<std::int32_t> root_;       // per tree: pool index of the root
   std::vector<std::int32_t> steps_;      // per tree: computed max depth
+  std::size_t feature_span_ = 0;
 };
 
 }  // namespace smart::ml

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "ml/simd.hpp"
 #include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
@@ -121,31 +120,19 @@ double GbdtRegressor::predict_row(std::span<const float> features) const {
 std::vector<double> GbdtRegressor::predict(const Matrix& x) const {
   std::vector<double> out(x.rows());
   const std::size_t blocks = (x.rows() + kPredictBlock - 1) / kPredictBlock;
-  // Read the mode once on the calling thread so one predict() call never
-  // mixes layouts across blocks.
-  const bool flat = simd_enabled() && !flat_.empty();
-  // Trees-outer/rows-inner per block: each out[r] adds the trees in
-  // ensemble order, so it is bit-identical to predict_row(x.row(r)); blocks
-  // write disjoint ranges, so the loop is thread-count invariant. The
-  // flattened walk produces the identical leaf weights (FlatForest), so
-  // both layouts yield the same bits.
+  // Trees-outer/rows-inner per block over the flattened layout: each out[r]
+  // adds the same leaf weights in ensemble order as predict_row(x.row(r)),
+  // so the two are bit-identical; blocks write disjoint ranges, so the loop
+  // is thread-count invariant.
   util::parallel_for(blocks, [&](std::size_t blk) {
     const std::size_t begin = blk * kPredictBlock;
     const std::size_t end = std::min(x.rows(), begin + kPredictBlock);
     for (std::size_t r = begin; r < end; ++r) out[r] = base_;
-    if (flat) {
-      double leaves[kPredictBlock];
-      for (std::size_t t = 0; t < flat_.num_trees(); ++t) {
-        flat_.leaf_weights(t, x, begin, end, leaves);
-        for (std::size_t r = begin; r < end; ++r) {
-          out[r] += params_.learning_rate * leaves[r - begin];
-        }
-      }
-    } else {
-      for (const RegressionTree& t : trees_) {
-        for (std::size_t r = begin; r < end; ++r) {
-          out[r] += params_.learning_rate * t.predict_row(x.row(r));
-        }
+    double leaves[kPredictBlock];
+    for (std::size_t t = 0; t < flat_.num_trees(); ++t) {
+      flat_.leaf_weights(t, x, begin, end, leaves);
+      for (std::size_t r = begin; r < end; ++r) {
+        out[r] += params_.learning_rate * leaves[r - begin];
       }
     }
   });
@@ -269,7 +256,6 @@ std::vector<int> GbdtClassifier::predict(const Matrix& x) const {
   std::vector<int> out(x.rows());
   const auto num_k = static_cast<std::size_t>(num_classes_);
   const std::size_t blocks = (x.rows() + kPredictBlock - 1) / kPredictBlock;
-  const bool flat = simd_enabled() && !flat_.empty();
   util::parallel_for(blocks, [&](std::size_t blk) {
     const std::size_t begin = blk * kPredictBlock;
     const std::size_t end = std::min(x.rows(), begin + kPredictBlock);
@@ -279,25 +265,15 @@ std::vector<int> GbdtClassifier::predict(const Matrix& x) const {
       std::copy(base_scores_.begin(), base_scores_.end(),
                 scores.begin() + static_cast<std::ptrdiff_t>((r - begin) * num_k));
     }
-    if (flat) {
-      // Same ensemble order as the pointer walk (tree i scores class
-      // i % num_k), same leaf weights — bit-identical scores.
-      double leaves[kPredictBlock];
-      for (std::size_t i = 0; i < flat_.num_trees(); ++i) {
-        const std::size_t k = i % num_k;
-        flat_.leaf_weights(i, x, begin, end, leaves);
-        for (std::size_t r = begin; r < end; ++r) {
-          scores[(r - begin) * num_k + k] +=
-              params_.learning_rate * leaves[r - begin];
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < trees_.size(); ++i) {
-        const std::size_t k = i % num_k;
-        for (std::size_t r = begin; r < end; ++r) {
-          scores[(r - begin) * num_k + k] +=
-              params_.learning_rate * trees_[i].predict_row(x.row(r));
-        }
+    // Same ensemble order as predict_proba_into (tree i scores class
+    // i % num_k), same leaf weights — bit-identical scores.
+    double leaves[kPredictBlock];
+    for (std::size_t i = 0; i < flat_.num_trees(); ++i) {
+      const std::size_t k = i % num_k;
+      flat_.leaf_weights(i, x, begin, end, leaves);
+      for (std::size_t r = begin; r < end; ++r) {
+        scores[(r - begin) * num_k + k] +=
+            params_.learning_rate * leaves[r - begin];
       }
     }
     for (std::size_t r = begin; r < end; ++r) {

@@ -28,16 +28,17 @@ class GbdtRegressor {
 
   void fit(const Matrix& x, std::span<const float> y);
   double predict_row(std::span<const float> features) const;
-  /// Batched prediction: iterates trees-outer/rows-inner over cache-sized
-  /// row blocks. Each row adds the trees in ensemble order, so every output
-  /// is bit-identical to predict_row on that row for any thread count.
-  /// When ml::simd_enabled(), the inner walk uses the flattened lockstep
-  /// layout (FlatForest) — same comparisons, same double accumulation, so
-  /// still bit-identical in every precision mode; SMART_SIMD=0 falls back
-  /// to the per-row pointer walk.
+  /// Batched prediction: walks the flattened lockstep layout (FlatForest)
+  /// trees-outer/rows-inner over cache-sized row blocks. Each row adds the
+  /// trees in ensemble order with the same comparisons and double
+  /// accumulation as the per-row pointer walk, so every output is
+  /// bit-identical to predict_row on that row for any thread count and in
+  /// every precision mode.
   std::vector<double> predict(const Matrix& x) const;
 
   std::size_t num_trees() const noexcept { return trees_.size(); }
+  /// Narrowest feature row the ensemble can read (FlatForest::feature_span).
+  std::size_t feature_span() const noexcept { return flat_.feature_span(); }
 
   /// Gain-based importance per input feature, normalized to sum to 1
   /// (all-zero if no split was ever made).
@@ -73,12 +74,13 @@ class GbdtClassifier {
   /// Batched argmax prediction, trees-outer/rows-inner over row blocks with
   /// one score buffer per block (no per-row allocation). Labels equal
   /// predict_row on every row: the scores accumulate in ensemble order and
-  /// softmax is strictly monotone, so the argmax is unchanged. Uses the
-  /// flattened lockstep walk when ml::simd_enabled() (bit-identical, see
-  /// GbdtRegressor::predict).
+  /// softmax is strictly monotone, so the argmax is unchanged. Walks the
+  /// flattened lockstep layout (bit-identical, see GbdtRegressor::predict).
   std::vector<int> predict(const Matrix& x) const;
 
   int num_classes() const noexcept { return num_classes_; }
+  /// Narrowest feature row the ensemble can read (FlatForest::feature_span).
+  std::size_t feature_span() const noexcept { return flat_.feature_span(); }
 
   /// Gain-based importance per input feature, normalized to sum to 1.
   std::vector<double> feature_importance(std::size_t num_features) const;

@@ -1,22 +1,16 @@
 #include "ml/simd.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
-
-#include "util/env.hpp"
 
 namespace smart::ml {
 
 namespace {
 
-// -1 = unread; otherwise 0/1 (simd) or the Precision enum value.
-std::atomic<int> g_simd{-1};
+// -1 = unread; otherwise the Precision enum value.
 std::atomic<int> g_precision{-1};
-
-int simd_env_default() {
-  return util::env_int("SMART_SIMD", 1) != 0 ? 1 : 0;
-}
 
 int precision_env_default() {
   const char* raw = std::getenv("SMART_PRECISION");
@@ -27,19 +21,6 @@ int precision_env_default() {
 }
 
 }  // namespace
-
-bool simd_enabled() noexcept {
-  int v = g_simd.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = simd_env_default();
-    g_simd.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_simd_enabled(bool on) noexcept {
-  g_simd.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 Precision inference_precision() noexcept {
   int v = g_precision.load(std::memory_order_relaxed);
@@ -60,10 +41,6 @@ Precision precision_from_string(const char* name) {
   if (s == "f32") return Precision::kRelaxed;
   throw std::invalid_argument("precision must be 'f64' or 'f32', got '" + s +
                               "'");
-}
-
-const char* to_string(Precision p) noexcept {
-  return p == Precision::kStrict ? "f64" : "f32";
 }
 
 }  // namespace smart::ml

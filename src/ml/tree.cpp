@@ -242,9 +242,16 @@ RegressionTree RegressionTree::load(std::istream& in) {
   const std::size_t num_gains = util::read_size(in, "tree gain count");
   RegressionTree tree;
   tree.depth_ = depth;
-  tree.nodes_.resize(num_nodes);
+  // The counts are untrusted: reserve at most kMaxReserve records and grow
+  // record by record past that, so a forged count fails at the first
+  // missing token instead of allocating up front, while fitted trees still
+  // load into exactly-sized vectors.
+  constexpr std::size_t kMaxReserve = 4096;
+  tree.nodes_.reserve(std::min(num_nodes, kMaxReserve));
+  tree.split_gains_.reserve(std::min(num_gains, kMaxReserve));
   const long long n = static_cast<long long>(num_nodes);
-  for (Node& node : tree.nodes_) {
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    Node& node = tree.nodes_.emplace_back();
     node.feature = util::read_int(in, "tree node feature");
     node.threshold =
         static_cast<float>(util::read_f64(in, "tree node threshold", false));
@@ -256,10 +263,9 @@ RegressionTree RegressionTree::load(std::istream& in) {
       throw std::runtime_error("RegressionTree::load: dangling child link");
     }
   }
-  tree.split_gains_.resize(num_gains);
-  for (auto& [feature, gain] : tree.split_gains_) {
-    feature = util::read_int(in, "tree gain feature");
-    gain = util::read_f64(in, "tree gain value");
+  for (std::size_t i = 0; i < num_gains; ++i) {
+    const int feature = util::read_int(in, "tree gain feature");
+    tree.split_gains_.emplace_back(feature, util::read_f64(in, "tree gain value"));
   }
   return tree;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -287,6 +288,17 @@ TEST(CliRun, TrainServeRoundTripMatchesCorpusTraining) {
   EXPECT_EQ(serve_text.find("profile."), std::string::npos);
   EXPECT_EQ(serve_text.find(".fit"), std::string::npos);
 
+  // An advise_batch item error is the one-line runtime error (rc 1).
+  std::ostringstream unknown_gpu;
+  try {
+    run_command(parse({"advise", "--shape", "star", "--dims", "2", "--order",
+                       "2", "--gpu", "H100", "--model", model}),
+                unknown_gpu);
+    ADD_FAILURE() << "advise accepted an unknown GPU";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "StencilMart: unknown GPU H100");
+  }
+
   // A query whose dimensionality disagrees with the artifact is refused.
   std::ostringstream mismatch;
   EXPECT_THROW(run_command(parse({"advise", "--shape", "star", "--dims", "3",
@@ -368,6 +380,35 @@ TEST(CliRun, ServeMissingModelFileIsRuntimeError) {
                                   "/nonexistent/model.smart", "--stdio"}),
                            out),
                std::runtime_error);
+}
+
+// Every subcommand rejects an option it does not read as a usage error
+// (exit 2) before doing any work.
+TEST(CliRun, SubcommandsRejectUnknownOptions) {
+  const std::string path = testing::TempDir() + "smartctl_unread.txt";
+  std::remove(path.c_str());
+  for (const char* command : {"generate", "profile", "merge", "ocs", "gpus",
+                              "train", "advise", "serve", "codegen",
+                              "features"}) {
+    SCOPED_TRACE(command);
+    std::ostringstream out;
+    try {
+      run_command(parse({command, "--out", path, "--bogus", "1"}), out);
+      ADD_FAILURE() << "accepted --bogus";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(command) + ": unknown option --bogus");
+    }
+    EXPECT_TRUE(out.str().empty()) << out.str();
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+}
+
+TEST(CliRun, ServeRejectsRetiredSimdFlag) {
+  std::ostringstream out;
+  EXPECT_THROW(run_command(parse({"serve", "--model", "m.smart", "--simd", "0"}),
+                           out),
+               std::invalid_argument);
 }
 
 TEST(CliRun, UsageMentionsServe) {

@@ -1,8 +1,9 @@
 // AdvisorServer + StencilMart::advise_batch: the serve daemon's whole
 // determinism contract, tested in-process.
 //
-//   - advise_batch is BITWISE equal to per-item advise()/recommend_gpu(),
-//     with or without duplicates, serial or parallel (the PR 2 style
+//   - advise_batch is BITWISE equal to one-item calls per item, with the
+//     rental recommendation equal to a test-local fold over one-item calls
+//     per GPU, with or without duplicates, serial or parallel (the
 //     equivalence the admission batcher is built on);
 //   - the reply byte-stream is invariant across batch size, arrival order
 //     and memoization (response-SET equality);
@@ -21,6 +22,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,6 +99,39 @@ std::vector<AdviseBatchItem> sample_items() {
   };
 }
 
+/// One-item advise_batch call: the oracle each batched result must equal.
+OcAdvice advise_single(const StencilMart& mart,
+                       const stencil::StencilPattern& pattern,
+                       const std::string& gpu) {
+  const AdviseBatchItem item{pattern, gpu, false};
+  const AdviseBatchResult result = mart.advise_batch({&item, 1})[0];
+  EXPECT_TRUE(result.ok()) << result.error;
+  return result.advice;
+}
+
+/// Test-local rental fold over one-item calls on every GPU: the fastest
+/// predicted time, and the cheapest time x $/hr among rentable GPUs.
+GpuRecommendation rental_fold(const StencilMart& mart,
+                              const stencil::StencilPattern& pattern) {
+  GpuRecommendation rec;
+  double best_time = std::numeric_limits<double>::infinity();
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const auto& gpu : mart.dataset().gpus) {
+    const double t = advise_single(mart, pattern, gpu.name).predicted_time_ms;
+    if (t < best_time) {
+      best_time = t;
+      rec.fastest_gpu = gpu.name;
+      rec.fastest_time_ms = t;
+    }
+    if (gpu.rental_usd_hr > 0.0 && t * gpu.rental_usd_hr < best_cost) {
+      best_cost = t * gpu.rental_usd_hr;
+      rec.cheapest_gpu = gpu.name;
+      rec.cheapest_cost_score = best_cost;
+    }
+  }
+  return rec;
+}
+
 void check_batch_matches_singles(const std::vector<AdviseBatchItem>& items) {
   const StencilMart& mart = test_mart();
   const auto results = mart.advise_batch(items);
@@ -104,7 +139,7 @@ void check_batch_matches_singles(const std::vector<AdviseBatchItem>& items) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     SCOPED_TRACE("item " + std::to_string(i));
     ASSERT_TRUE(results[i].ok()) << results[i].error;
-    const OcAdvice single = mart.advise(items[i].pattern, items[i].gpu);
+    const OcAdvice single = advise_single(mart, items[i].pattern, items[i].gpu);
     EXPECT_EQ(results[i].advice.group, single.group);
     EXPECT_EQ(results[i].advice.group_name, single.group_name);
     EXPECT_EQ(results[i].advice.oc.name(), single.oc.name());
@@ -112,7 +147,7 @@ void check_batch_matches_singles(const std::vector<AdviseBatchItem>& items) {
     expect_bitwise(results[i].advice.expected_time_ms, single.expected_time_ms);
     expect_bitwise(results[i].advice.predicted_time_ms, single.predicted_time_ms);
     if (items[i].recommend) {
-      const GpuRecommendation rec = mart.recommend_gpu(items[i].pattern);
+      const GpuRecommendation rec = rental_fold(mart, items[i].pattern);
       EXPECT_EQ(results[i].rec.fastest_gpu, rec.fastest_gpu);
       EXPECT_EQ(results[i].rec.cheapest_gpu, rec.cheapest_gpu);
       expect_bitwise(results[i].rec.fastest_time_ms, rec.fastest_time_ms);
@@ -163,9 +198,9 @@ TEST(AdvisorServer, AdviseReplyUnescapesToCliReport) {
   ASSERT_EQ(lines[0].rfind("ok rep1 ", 0), 0u) << lines[0];
 
   const auto pattern = stencil::make_star(2, 2);
-  const std::string want = advise_report(pattern, "V100",
-                                         mart.advise(pattern, "V100"),
-                                         mart.recommend_gpu(pattern));
+  const std::string want =
+      advise_report(pattern, "V100", advise_single(mart, pattern, "V100"),
+                    rental_fold(mart, pattern));
   EXPECT_EQ(serve::unescape_text(lines[0].substr(std::string("ok rep1 ").size())),
             want);
 }
@@ -182,7 +217,8 @@ TEST(AdvisorServer, PredictReplyCarriesBitExactHexfloat) {
       lines[0].substr(std::string("ok px predicted_ms=").size());
   const double round_tripped = std::strtod(payload.c_str(), nullptr);
   const auto pattern = stencil::make_box(2, 1);
-  expect_bitwise(round_tripped, mart.advise(pattern, "A100").predicted_time_ms);
+  expect_bitwise(round_tripped,
+                 advise_single(mart, pattern, "A100").predicted_time_ms);
 }
 
 std::vector<std::string> base_requests() {

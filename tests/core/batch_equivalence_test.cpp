@@ -88,8 +88,8 @@ void check_regressor_equivalence(RegressorKind kind) {
   }
 
   // predict_variants (out-of-dataset entry point, re-encodes patterns) vs
-  // per-query predict_variant. Repeats each pattern across all GPUs so the
-  // ConvMLP unique-tensor gather path sees shared tensors.
+  // one-query calls. Repeats each pattern across all GPUs so the ConvMLP
+  // unique-tensor gather path sees shared tensors.
   std::vector<VariantQuery> queries;
   for (std::size_t i = 0; i < std::min<std::size_t>(10, idxs.size()); ++i) {
     const RegressionInstance& ins = task.instances()[idxs[i]];
@@ -102,10 +102,7 @@ void check_regressor_equivalence(RegressorKind kind) {
   const std::vector<double> batched = task.predict_variants(queries);
   ASSERT_EQ(batched.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    expect_bitwise(batched[q],
-                   task.predict_variant(*queries[q].pattern, queries[q].problem,
-                                        queries[q].oc, queries[q].setting,
-                                        queries[q].gpu));
+    expect_bitwise(batched[q], task.predict_variants({&queries[q], 1})[0]);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "core/mart.hpp"
 
+#include <string>
+
 #include "gpusim/tuner.hpp"
 
 #include <gtest/gtest.h>
@@ -27,17 +29,30 @@ const StencilMart& shared_mart() {
   return mart;
 }
 
+/// One advise_batch item: the facade's only advice entry point.
+AdviseBatchResult advise_one(const StencilMart& mart,
+                             const stencil::StencilPattern& pattern,
+                             const std::string& gpu) {
+  const AdviseBatchItem item{pattern, gpu};
+  return mart.advise_batch({&item, 1})[0];
+}
+
+OcAdvice advise_ok(const stencil::StencilPattern& pattern,
+                   const std::string& gpu) {
+  const AdviseBatchResult result = advise_one(shared_mart(), pattern, gpu);
+  EXPECT_TRUE(result.ok()) << result.error;
+  return result.advice;
+}
+
 TEST(StencilMart, RequiresTraining) {
   StencilMart untrained(small_config());
   EXPECT_FALSE(untrained.trained());
-  EXPECT_THROW(untrained.advise(stencil::make_star(2, 1), "V100"),
-               std::logic_error);
-  EXPECT_THROW(untrained.recommend_gpu(stencil::make_star(2, 1)),
+  EXPECT_THROW(advise_one(untrained, stencil::make_star(2, 1), "V100"),
                std::logic_error);
 }
 
 TEST(StencilMart, AdvisesUnseenStencil) {
-  const auto advice = shared_mart().advise(stencil::make_box(2, 2), "V100");
+  const auto advice = advise_ok(stencil::make_box(2, 2), "V100");
   EXPECT_GE(advice.group, 0);
   EXPECT_LT(advice.group, shared_mart().merger().num_groups());
   EXPECT_TRUE(advice.oc.is_valid());
@@ -50,22 +65,26 @@ TEST(StencilMart, AdvisesUnseenStencil) {
 }
 
 TEST(StencilMart, AdviceIsDeterministic) {
-  const auto a = shared_mart().advise(stencil::make_star(2, 3), "P100");
-  const auto b = shared_mart().advise(stencil::make_star(2, 3), "P100");
+  const auto a = advise_ok(stencil::make_star(2, 3), "P100");
+  const auto b = advise_ok(stencil::make_star(2, 3), "P100");
   EXPECT_EQ(a.group, b.group);
   EXPECT_EQ(a.setting, b.setting);
   EXPECT_DOUBLE_EQ(a.expected_time_ms, b.expected_time_ms);
 }
 
 TEST(StencilMart, RejectsUnknownGpuAndWrongDims) {
-  EXPECT_THROW(shared_mart().advise(stencil::make_star(2, 1), "H100"),
-               std::out_of_range);
-  EXPECT_THROW(shared_mart().advise(stencil::make_star(3, 1), "V100"),
-               std::invalid_argument);
+  EXPECT_EQ(advise_one(shared_mart(), stencil::make_star(2, 1), "H100").error,
+            "StencilMart: unknown GPU H100");
+  EXPECT_EQ(advise_one(shared_mart(), stencil::make_star(3, 1), "V100").error,
+            "StencilMart::advise: pattern dimensionality differs from the "
+            "training corpus");
 }
 
 TEST(StencilMart, RecommendsRentableGpus) {
-  const auto rec = shared_mart().recommend_gpu(stencil::make_cross(2, 2));
+  const AdviseBatchResult result =
+      advise_one(shared_mart(), stencil::make_cross(2, 2), "V100");
+  ASSERT_TRUE(result.ok()) << result.error;
+  const GpuRecommendation& rec = result.rec;
   EXPECT_FALSE(rec.fastest_gpu.empty());
   EXPECT_FALSE(rec.cheapest_gpu.empty());
   EXPECT_NE(rec.cheapest_gpu, "2080Ti");  // not rentable
@@ -83,7 +102,7 @@ TEST(StencilMart, AdviceBeatsWorstCaseOnAverage) {
   int total = 0;
   for (int r = 1; r <= 4; ++r) {
     const auto pattern = stencil::make_star(2, r);
-    const auto advice = shared_mart().advise(pattern, "V100");
+    const auto advice = advise_ok(pattern, "V100");
     const auto all = tuner.tune_all(
         pattern, gpusim::ProblemSize::paper_default(2),
         gpusim::gpu_by_name("V100"), rng);

@@ -6,8 +6,9 @@
 //
 // The suite also pins the artifact's error paths: bad magic, unsupported
 // version, truncation, checksum corruption, NaN weights smuggled into a
-// re-checksummed payload, and trailing payload data all raise a clear
-// std::runtime_error instead of producing a silently-wrong model.
+// re-checksummed payload, trailing payload data and tree splits on a feature
+// past the end of the row all raise a clear std::runtime_error instead of
+// producing a silently-wrong model (or an out-of-bounds read).
 //
 // Suite names map onto the ctest label groups (tests/CMakeLists.txt):
 //   ModelArtifact.*          -> unit      (round trips under SerialSection)
@@ -17,12 +18,16 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
+#include "core/advisor_server.hpp"
 #include "core/mart.hpp"
 #include "core/serialize.hpp"
 #include "stencil/pattern.hpp"
@@ -76,7 +81,17 @@ std::vector<stencil::StencilPattern> query_patterns() {
           stencil::make_cross(2, 3)};
 }
 
-/// Saves `mart`, reloads it, and checks that every advise/recommend_gpu
+/// One advise_batch item with the rental recommendation.
+AdviseBatchResult advise_one(const StencilMart& mart,
+                             const stencil::StencilPattern& pattern,
+                             const std::string& gpu) {
+  const AdviseBatchItem item{pattern, gpu};
+  AdviseBatchResult result = mart.advise_batch({&item, 1})[0];
+  EXPECT_TRUE(result.ok()) << result.error;
+  return result;
+}
+
+/// Saves `mart`, reloads it, and checks that every advice and rental
 /// output is identical — doubles bitwise — for unseen query stencils.
 void check_round_trip(RegressorKind kind) {
   const StencilMart& original = trained_mart(kind);
@@ -87,23 +102,31 @@ void check_round_trip(RegressorKind kind) {
   EXPECT_EQ(loaded.config().regressor, kind);
   EXPECT_EQ(loaded.config().profile.dims, original.config().profile.dims);
 
+  std::vector<AdviseBatchItem> items;
   for (const auto& pattern : query_patterns()) {
     for (const auto& gpu : original.dataset().gpus) {
-      const OcAdvice a = original.advise(pattern, gpu.name);
-      const OcAdvice b = loaded.advise(pattern, gpu.name);
-      EXPECT_EQ(a.group, b.group);
-      EXPECT_EQ(a.group_name, b.group_name);
-      EXPECT_EQ(a.oc.name(), b.oc.name());
-      EXPECT_EQ(a.setting.to_string(), b.setting.to_string());
-      expect_bitwise(a.expected_time_ms, b.expected_time_ms);
-      expect_bitwise(a.predicted_time_ms, b.predicted_time_ms);
+      items.push_back({pattern, gpu.name});
     }
-    const GpuRecommendation ra = original.recommend_gpu(pattern);
-    const GpuRecommendation rb = loaded.recommend_gpu(pattern);
-    EXPECT_EQ(ra.fastest_gpu, rb.fastest_gpu);
-    EXPECT_EQ(ra.cheapest_gpu, rb.cheapest_gpu);
-    expect_bitwise(ra.fastest_time_ms, rb.fastest_time_ms);
-    expect_bitwise(ra.cheapest_cost_score, rb.cheapest_cost_score);
+  }
+  const auto want = original.advise_batch(items);
+  const auto got = loaded.advise_batch(items);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(want[i].ok()) << want[i].error;
+    ASSERT_TRUE(got[i].ok()) << got[i].error;
+    const OcAdvice& a = want[i].advice;
+    const OcAdvice& b = got[i].advice;
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.group_name, b.group_name);
+    EXPECT_EQ(a.oc.name(), b.oc.name());
+    EXPECT_EQ(a.setting.to_string(), b.setting.to_string());
+    expect_bitwise(a.expected_time_ms, b.expected_time_ms);
+    expect_bitwise(a.predicted_time_ms, b.predicted_time_ms);
+    EXPECT_EQ(want[i].rec.fastest_gpu, got[i].rec.fastest_gpu);
+    EXPECT_EQ(want[i].rec.cheapest_gpu, got[i].rec.cheapest_gpu);
+    expect_bitwise(want[i].rec.fastest_time_ms, got[i].rec.fastest_time_ms);
+    expect_bitwise(want[i].rec.cheapest_cost_score,
+                   got[i].rec.cheapest_cost_score);
   }
 }
 
@@ -172,8 +195,9 @@ TEST(ModelArtifact, FileRoundTrip) {
   const StencilMart loaded = load_model(path);
   EXPECT_TRUE(loaded.trained());
   const auto pattern = stencil::make_star(2, 2);
-  const OcAdvice a = trained_mart(RegressorKind::kGbr).advise(pattern, "V100");
-  const OcAdvice b = loaded.advise(pattern, "V100");
+  const OcAdvice a =
+      advise_one(trained_mart(RegressorKind::kGbr), pattern, "V100").advice;
+  const OcAdvice b = advise_one(loaded, pattern, "V100").advice;
   EXPECT_EQ(a.oc.name(), b.oc.name());
   expect_bitwise(a.predicted_time_ms, b.predicted_time_ms);
   std::remove(path.c_str());
@@ -247,6 +271,91 @@ TEST(ModelArtifact, RejectsNanWeightEvenWithValidChecksum) {
 TEST(ModelArtifact, RejectsTrailingPayloadData) {
   expect_load_fails(reseal(reference_payload() + "bogus 1 2\n"),
                     "trailing data");
+}
+
+/// The reference artifact with the first tree after `section` replaced by a
+/// well-formed one-split tree on `feature`, re-sealed so it passes the
+/// envelope: only the feature index is wrong.
+std::string with_split_feature(const std::string& section, long long feature) {
+  std::string payload = reference_payload();
+  const std::size_t begin = payload.find("\ntree ", payload.find(section)) + 1;
+  std::istringstream header(payload.substr(begin));
+  std::string word;
+  std::size_t nodes = 0;
+  std::size_t gains = 0;
+  int depth = 0;
+  header >> word >> nodes >> depth >> gains;
+  std::size_t end = begin;
+  for (std::size_t line = 0; line < 1 + nodes + gains; ++line) {
+    end = payload.find('\n', end) + 1;
+  }
+  const std::string split_tree =
+      "tree 3 1 0\n" + std::to_string(feature) +
+      " 0x0p+0 1 2 0x0p+0\n-1 0x0p+0 -1 -1 0x0p+0\n-1 0x0p+0 -1 -1 0x0p+0\n";
+  payload.replace(begin, end - begin, split_tree);
+  return reseal(payload);
+}
+
+/// A split feature past the row end must be refused by load_model, by the
+/// one-shot CLI (a runtime error: rc 1, one line) and by a serve reload
+/// (err reply, epoch unchanged) — never read out of bounds.
+void check_split_feature_rejected(const std::string& section,
+                                  const std::string& needle,
+                                  std::initializer_list<long long> features) {
+  for (const long long feature : features) {
+    SCOPED_TRACE("feature " + std::to_string(feature));
+    const std::string mutant = with_split_feature(section, feature);
+    expect_load_fails(mutant,
+                      needle + " splits on feature " + std::to_string(feature));
+
+    const std::string path = testing::TempDir() + "smart_split_mutant.smart";
+    {
+      std::ofstream out(path);
+      out << mutant;
+    }
+    std::ostringstream cli_out;
+    EXPECT_THROW(cli::run_command(cli::parse_command_line(
+                                      {"advise", "--model", path, "--dims", "2",
+                                       "--shape", "star", "--order", "2"}),
+                                  cli_out),
+                 std::runtime_error);
+    std::remove(path.c_str());
+
+    const StencilMart& serving = trained_mart(RegressorKind::kGbr);
+    AdvisorServer server(
+        ModelSnapshot{std::shared_ptr<const StencilMart>(
+                          &serving, [](const StencilMart*) {}),
+                      "v1", "c1"},
+        {}, [&mutant] {
+          std::stringstream in(mutant);
+          return ModelSnapshot{
+              std::make_shared<const StencilMart>(load_model(in)), "v2", "c2"};
+        });
+    std::vector<std::string> replies;
+    server.submit("reload r1",
+                  [&replies](const std::string& line) { replies.push_back(line); });
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].rfind("err r1 reload failed: ", 0), 0u) << replies[0];
+    EXPECT_NE(replies[0].find("splits on feature"), std::string::npos);
+    EXPECT_EQ(server.epoch(), 1u);
+    EXPECT_EQ(server.model_snapshot().version, "v1");
+  }
+}
+
+TEST(ModelArtifact, RejectsClassifierSplitFeaturePastRowEnd) {
+  // The stencil feature row is 11 wide: 40 reads past it, 1e8 far past.
+  check_split_feature_rejected("\nclassifiers ", "classifier 0",
+                               {11, 40, 100000000});
+  // Control: the same tree on the row's last feature loads.
+  std::stringstream in(with_split_feature("\nclassifiers ", 10));
+  EXPECT_NO_THROW(load_model(in));
+}
+
+TEST(ModelArtifact, RejectsGbrSplitFeaturePastRowEnd) {
+  // The GBR row is 34 wide.
+  check_split_feature_rejected("\nfitted ", "GBR tree", {34, 1000, 100000000});
+  std::stringstream in(with_split_feature("\nfitted ", 33));
+  EXPECT_NO_THROW(load_model(in));
 }
 
 TEST(ModelArtifact, PayloadParseErrorsCarrySourceAndByteOffset) {
@@ -348,7 +457,7 @@ TEST(ModelArtifact, TrainFromCorpusUsesMeasuredTimes) {
   expect_bitwise(mart.dataset().times[0][0][kFastOc][0], 1e-6);
   const int fast_group = mart.merger().groups()[kFastOc];
   for (std::size_t s = 0; s < mutated.stencils.size(); ++s) {
-    const OcAdvice advice = mart.advise(mutated.stencils[s], "V100");
+    const OcAdvice advice = advise_one(mart, mutated.stencils[s], "V100").advice;
     EXPECT_EQ(advice.group, fast_group);
   }
 }

@@ -1,8 +1,9 @@
 // Float32 ("relaxed") inference equivalence gates (DESIGN.md §13):
 //
-//  - f64/strict contract: toggling SMART_SIMD never changes a single output
-//    bit of any regressor kind, serial or parallel — the fused kernels and
-//    the flattened GBDT layout are pure layout/fusion changes;
+//  - f64/strict contract: the vectorized production path (fused Dense+ReLU
+//    kernels, flattened GBDT walk) never changes a single output bit of any
+//    regressor kind against a test-local scalar reference, serial or
+//    parallel — the fusion and the flat layout are pure layout changes;
 //  - f32/relaxed contract, per model kind: GBR stays bitwise EXACT (the
 //    lockstep walk does the same comparisons and double accumulation);
 //    MLP and ConvMLP are tolerance-equivalent (reassociated/FMA float
@@ -26,6 +27,8 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,7 +36,11 @@
 #include "core/advisor_server.hpp"
 #include "core/mart.hpp"
 #include "core/regression.hpp"
+#include "ml/dataset.hpp"
+#include "ml/gbdt.hpp"
+#include "ml/models.hpp"
 #include "ml/simd.hpp"
+#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::core {
@@ -75,17 +82,84 @@ std::vector<std::size_t> sample_idxs(const RegressionTask& task) {
                                std::min<std::size_t>(30, starts.size()))};
 }
 
-/// The strict/f64 contract: SMART_SIMD on vs off is bitwise identical.
-void check_f64_simd_invariance(RegressorKind kind) {
+/// Test-local scalar reference for a fitted task: re-reads the task's saved
+/// model and predicts through the reference paths — the per-row pointer
+/// walk for GBR, Sequential::forward() in inference mode for the nets —
+/// on feature rows assembled from the task's encoding cache.
+std::vector<double> reference_predictions(const RegressionTask& task,
+                                          std::span<const std::size_t> idxs,
+                                          std::size_t gpu) {
+  std::stringstream saved;
+  task.save_fitted(saved);
+  util::expect_word(saved, "fitted", "reference");
+  const RegressorKind kind =
+      regressor_kind_from_string(util::read_token(saved, "kind"));
+  const ml::MaxAbsScaler scaler = ml::MaxAbsScaler::load(saved);
+
+  const EncodingCache& cache = task.encoding_cache();
+  std::vector<AuxRowKey> keys;
+  for (const std::size_t idx : idxs) {
+    const RegressionInstance& ins = task.instances()[idx];
+    keys.push_back({ins.stencil, ins.oc, ins.setting, gpu});
+  }
+  ml::Matrix aux;
+  cache.assemble_aux_rows(aux, keys, kind != RegressorKind::kConvMlp);
+
+  std::vector<double> log_ms(idxs.size());
+  if (kind == RegressorKind::kGbr) {
+    const ml::GbdtRegressor gbr = ml::GbdtRegressor::load(saved);
+    for (std::size_t i = 0; i < idxs.size(); ++i) {
+      log_ms[i] = gbr.predict_row(aux.row(i));
+    }
+  } else {
+    const auto load_net = [&saved] {
+      ml::Sequential net = ml::Sequential::load(saved);
+      net.set_training(false);
+      return net;
+    };
+    ml::Matrix preds;
+    if (kind == RegressorKind::kMlp) {
+      util::expect_word(saved, "nnreg", "reference");
+      ml::load_train_config(saved);
+      preds = load_net().forward(scaler.transform(aux));
+    } else {
+      util::expect_word(saved, "convmlp", "reference");
+      const std::size_t conv_out = util::read_size(saved, "conv_out");
+      const std::size_t mlp_out = util::read_size(saved, "mlp_out");
+      ml::load_train_config(saved);
+      ml::Sequential conv = load_net();
+      ml::Sequential mlp = load_net();
+      ml::Sequential head = load_net();
+      ml::Matrix tensors(idxs.size(), cache.tensor_dim());
+      for (std::size_t i = 0; i < idxs.size(); ++i) {
+        const auto t = cache.tensor(keys[i].stencil);
+        std::copy(t.begin(), t.end(), tensors.row(i).begin());
+      }
+      const ml::Matrix za = conv.forward(tensors);
+      const ml::Matrix zb = mlp.forward(scaler.transform(aux));
+      ml::Matrix joint(idxs.size(), conv_out + mlp_out);
+      for (std::size_t i = 0; i < idxs.size(); ++i) {
+        std::copy(za.row(i).begin(), za.row(i).end(), joint.row(i).begin());
+        std::copy(zb.row(i).begin(), zb.row(i).end(),
+                  joint.row(i).begin() + static_cast<std::ptrdiff_t>(conv_out));
+      }
+      preds = head.forward(joint);
+    }
+    for (std::size_t i = 0; i < idxs.size(); ++i) log_ms[i] = preds.at(i, 0);
+  }
+  std::vector<double> out(idxs.size());
+  for (std::size_t i = 0; i < idxs.size(); ++i) out[i] = std::exp2(log_ms[i]);
+  return out;
+}
+
+/// The strict/f64 contract: the vectorized production path is bitwise
+/// identical to the scalar reference path.
+void check_f64_matches_reference(RegressorKind kind) {
   const RegressionTask& task = fitted_task(kind);
   const auto idxs = sample_idxs(task);
   const std::size_t gpu = 0;
   const std::vector<double> fused = task.predict_batch(idxs, gpu);
-  std::vector<double> unfused;
-  {
-    const ml::SimdSection off(false);
-    unfused = task.predict_batch(idxs, gpu);
-  }
+  const std::vector<double> unfused = reference_predictions(task, idxs, gpu);
   ASSERT_EQ(fused.size(), unfused.size());
   for (std::size_t i = 0; i < fused.size(); ++i) {
     expect_bitwise(fused[i], unfused[i]);
@@ -128,21 +202,22 @@ void check_f32_equivalence(RegressorKind kind) {
   }
 }
 
-// --- unit label: pinned to one thread. ---
+// --- unit label: pinned to one thread. "SimdToggle" in a test name means
+// the vectorized path against the scalar reference path. ---
 
 TEST(PrecisionEquivalence, GbrF64InvariantUnderSimdToggleSerial) {
   const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kGbr);
+  check_f64_matches_reference(RegressorKind::kGbr);
 }
 
 TEST(PrecisionEquivalence, MlpF64InvariantUnderSimdToggleSerial) {
   const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kMlp);
+  check_f64_matches_reference(RegressorKind::kMlp);
 }
 
 TEST(PrecisionEquivalence, ConvMlpF64InvariantUnderSimdToggleSerial) {
   const util::SerialSection serial;
-  check_f64_simd_invariance(RegressorKind::kConvMlp);
+  check_f64_matches_reference(RegressorKind::kConvMlp);
 }
 
 TEST(PrecisionEquivalence, GbrF32ExactSerial) {
@@ -165,15 +240,15 @@ TEST(PrecisionEquivalence, ConvMlpF32WithinToleranceSerial) {
 // already pinned the exact bits each batch must reproduce. ---
 
 TEST(ParallelPrecisionEquivalence, GbrF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kGbr);
+  check_f64_matches_reference(RegressorKind::kGbr);
 }
 
 TEST(ParallelPrecisionEquivalence, MlpF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kMlp);
+  check_f64_matches_reference(RegressorKind::kMlp);
 }
 
 TEST(ParallelPrecisionEquivalence, ConvMlpF64InvariantUnderSimdToggle) {
-  check_f64_simd_invariance(RegressorKind::kConvMlp);
+  check_f64_matches_reference(RegressorKind::kConvMlp);
 }
 
 TEST(ParallelPrecisionEquivalence, GbrF32Exact) {

@@ -303,8 +303,10 @@ TEST_F(ProfileResumeTest, StencilMartTrainsOnPartiallyQuarantinedCorpus) {
   StencilMart mart(mc);
   mart.train(corpus);  // quarantined units are NaN — the crashed convention
   EXPECT_TRUE(mart.trained());
-  const auto advice = mart.advise(stencil::make_star(2, 2), "V100");
-  EXPECT_FALSE(advice.oc.name().empty());
+  const AdviseBatchItem item{stencil::make_star(2, 2), "V100"};
+  const AdviseBatchResult result = mart.advise_batch({&item, 1})[0];
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_FALSE(result.advice.oc.name().empty());
 }
 
 }  // namespace

@@ -248,17 +248,14 @@ TEST(SimdKernels, SequentialInferShrinkGrowBatches) {
 }
 
 TEST(SimdKernels, SequentialInferSimdToggleIsBitIdentical) {
-  // The strict fusion peephole must not change a single output bit.
+  // The strict fusion peephole must not change a single output bit: the
+  // vectorized infer() equals the scalar reference forward() pass.
   util::Rng rng(5150);
   Sequential net = make_mlp(10, 3, 24, rng);
   net.set_training(false);
   const Matrix x = random_matrix(50, 10, rng);
-  const Matrix fused = net.infer(x);  // SMART_SIMD default-on
-  Matrix unfused;
-  {
-    const SimdSection off(false);
-    unfused = net.infer(x);
-  }
+  const Matrix fused = net.infer(x);
+  const Matrix unfused = net.forward(x);
   ASSERT_EQ(fused.rows(), unfused.rows());
   ASSERT_EQ(fused.cols(), unfused.cols());
   for (std::size_t r = 0; r < fused.rows(); ++r) {
@@ -293,15 +290,9 @@ TEST(FlatForest, LockstepMatchesPointerWalkBitwise) {
   GbdtRegressor reg(params);
   reg.fit(x, y);
 
-  const std::vector<double> flat = reg.predict(x);  // SMART_SIMD default-on
-  std::vector<double> walked;
-  {
-    const SimdSection off(false);
-    walked = reg.predict(x);
-  }
-  ASSERT_EQ(flat.size(), walked.size());
+  const std::vector<double> flat = reg.predict(x);
+  ASSERT_EQ(flat.size(), x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    expect_bitwise(flat[r], walked[r]);
     expect_bitwise(flat[r], reg.predict_row(x.row(r)));
   }
   // Relaxed precision must not change GBDT bits either (the flattened
@@ -348,15 +339,10 @@ TEST(FlatForest, NanRoutesRightInBothLayouts) {
   }
 
   const std::vector<double> flat = reg.predict(poisoned);
-  std::vector<double> walked;
-  {
-    const SimdSection off(false);
-    walked = reg.predict(poisoned);
-  }
   for (std::size_t r = 0; r < poisoned.rows(); ++r) {
-    // Both layouts take the documented right-child route on NaN, so the
-    // outputs agree bitwise and are finite leaf sums, never NaN.
-    expect_bitwise(flat[r], walked[r]);
+    // The flat walk and the per-row pointer walk both take the documented
+    // right-child route on NaN, so the outputs agree bitwise and are finite
+    // leaf sums, never NaN.
     expect_bitwise(flat[r], reg.predict_row(poisoned.row(r)));
     EXPECT_TRUE(std::isfinite(flat[r]));
   }
@@ -376,14 +362,8 @@ TEST(FlatForest, ClassifierLockstepMatchesPointerWalk) {
   clf.fit(x, labels, 3);
 
   const std::vector<int> flat = clf.predict(x);
-  std::vector<int> walked;
-  {
-    const SimdSection off(false);
-    walked = clf.predict(x);
-  }
-  ASSERT_EQ(flat.size(), walked.size());
+  ASSERT_EQ(flat.size(), x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    EXPECT_EQ(flat[r], walked[r]);
     EXPECT_EQ(flat[r], clf.predict_row(x.row(r)));
   }
 }
