@@ -3,20 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace smart::gpusim {
 namespace {
 
+// No padding bytes: gtest prints a parameter's raw bytes into the test
+// name, so padding would leave stack garbage in the names ctest registers.
 struct SpaceCase {
-  std::uint8_t oc_bits;
-  int dims;
+  std::int32_t oc_bits;
+  std::int32_t dims;
+
+  OptCombination oc() const {
+    return OptCombination::from_bits(static_cast<std::uint8_t>(oc_bits));
+  }
 };
+static_assert(sizeof(SpaceCase) == 8);
 
 class ParamSpaceProperty : public ::testing::TestWithParam<SpaceCase> {};
 
 TEST_P(ParamSpaceProperty, RandomSettingsAreValid) {
   const auto c = GetParam();
-  const OptCombination oc = OptCombination::from_bits(c.oc_bits);
+  const OptCombination oc = c.oc();
   const ParamSpace space(oc, c.dims);
   util::Rng rng(c.oc_bits * 7 + c.dims);
   for (int i = 0; i < 60; ++i) {
@@ -52,8 +60,7 @@ std::vector<SpaceCase> all_space_cases() {
 INSTANTIATE_TEST_SUITE_P(AllOcsAndDims, ParamSpaceProperty,
                          ::testing::ValuesIn(all_space_cases()),
                          [](const auto& info) {
-                           return OptCombination::from_bits(info.param.oc_bits)
-                                      .name() +
+                           return info.param.oc().name() +
                                   "_" + std::to_string(info.param.dims) + "d";
                          });
 
@@ -62,7 +69,7 @@ TEST_P(ParamSpaceProperty, ClosedFormSizeMatchesEnumeration) {
   // without paying for an enumeration, so pin the closed form to the
   // enumerated count for every valid OC and dimensionality.
   const auto c = GetParam();
-  const ParamSpace space(OptCombination::from_bits(c.oc_bits), c.dims);
+  const ParamSpace space(c.oc(), c.dims);
   EXPECT_EQ(space.size(), space.enumerate().size());
 }
 
