@@ -495,14 +495,10 @@ for t in 1 4; do
 done
 echo "OK: malformed input earns structured err replies; daemon survives fuzz"
 
-echo "== serve daemon: shutdown semantics (stdio EOF, SIGTERM, client abort) =="
-printf 'ping s1\nshutdown s2\n' \
-  | "$SMARTCTL" serve --model "$ARTDIR/model.smart" --stdio \
-  > "$ARTDIR/stdio_out.txt"
-grep -qx 'ok s1 pong v1' "$ARTDIR/stdio_out.txt"
-grep -qx 'ok s2 bye' "$ARTDIR/stdio_out.txt"
-echo "  stdio session: ping answered, shutdown verb drains, rc 0"
-
+echo "== serve daemon: shutdown semantics (SIGTERM, client abort) =="
+# The stdio ping + shutdown session runs in ctest
+# (ServeRuntime.StdioStyleSessionAnswersPingAndShutdown); the healthz leg
+# below still drives a real stdio daemon to rc 0.
 start_serve 1 --max-batch 8
 for _ in $(seq 1 100); do
   [[ -S "$SOCK" ]] && break
@@ -544,7 +540,7 @@ if ! wait "$serve_pid"; then
 fi
 serve_pid=""
 echo "  client abort: session reaped, fresh client served golden bytes, rc 0"
-echo "OK: shutdown verb, SIGTERM, and client abort all follow the exit contract"
+echo "OK: SIGTERM and client abort both follow the exit contract"
 
 echo "== serve daemon: healthz + banner report the artifact envelope =="
 # The startup banner and the healthz verb must both carry the artifact's
@@ -791,23 +787,27 @@ UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tests/smart_tests" \
   --gtest_filter='ParallelPrecisionEquivalence.*:SimdKernels.*' | sed 's/^/    /'
 echo "OK: unit suite clean under AddressSanitizer + UBSan"
 
-echo "== sanitized serve daemon vs the fuzz corpus =="
+echo "== sanitized serve daemon vs the fuzz corpus, stopped by SIGTERM =="
 # The same black-box fuzz, but the daemon itself runs under ASan+UBSan:
 # any parser over-read or lifetime bug in the batching path aborts the run.
+# SIGTERM then ends it through the signal poller (sigtimedwait), the path a
+# sanitizer runtime cannot defer the way it defers async handlers: it must
+# drain and exit rc 0.
 rm -f "$SOCK"
 UBSAN_OPTIONS=halt_on_error=1 "$ASAN_DIR/tools/smartctl" serve \
   --model "$ARTDIR/model.smart" --socket "$SOCK" \
   >/dev/null 2>"$ARTDIR/serve_stderr.txt" &
 serve_pid=$!
 "$ASAN_DIR/tools/serve_harness" --socket "$SOCK" --fuzz 200 --seed 9 \
-  --connections 4 --shutdown-after | sed 's/^/  /'
+  --connections 4 | sed 's/^/  /'
+kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
-  echo "FAIL: sanitized daemon exited non-zero (see $ARTDIR/serve_stderr.txt)" >&2
+  echo "FAIL: sanitized daemon did not exit rc 0 on SIGTERM (see $ARTDIR/serve_stderr.txt)" >&2
   cat "$ARTDIR/serve_stderr.txt" >&2
   exit 1
 fi
 serve_pid=""
-echo "OK: sanitized daemon survived the malformed corpus and mutants over 4 connections"
+echo "OK: sanitized daemon survived the malformed corpus and mutants over 4 connections, then drained to rc 0 on SIGTERM"
 
 echo "== ThreadSanitizer build over the concurrent serve path =="
 # A TSan-instrumented daemon runs a compressed chaos leg: 8 concurrent
@@ -817,7 +817,11 @@ echo "== ThreadSanitizer build over the concurrent serve path =="
 # union, and the post-reload set must equal the epoch-B golden set.
 TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DSMART_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_DIR" -j"$(nproc)" --target smartctl serve_harness
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target smart_tests smartctl serve_harness
+# The in-process runtime suite first: sessions, the accept loop, the
+# in-flight and capacity sheds, idle timeouts and injected faults.
+TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR/tests/smart_tests" --gtest_brief=1 \
+  --gtest_filter='ServeRuntime.*' | sed 's/^/  /'
 rm -f "$SOCK"
 cp "$ARTDIR/model.smart" "$ARTDIR/model_live.smart"
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR/tools/smartctl" serve \

@@ -1,38 +1,26 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
-
-#include <pthread.h>
-#include <unistd.h>
 
 #include "codegen/cuda_codegen.hpp"
-#include "core/advisor_server.hpp"
 #include "core/corpus_merge.hpp"
 #include "core/mart.hpp"
 #include "core/serialize.hpp"
+#include "core/serve_runtime.hpp"
 #include "core/stencilmart.hpp"
 #include "ml/simd.hpp"
 #include "stencil/features.hpp"
-#include "stencil/tensor_repr.hpp"
 #include "util/fault.hpp"
 #include "util/serialize_io.hpp"
 #include "util/table.hpp"
 #include "util/task_pool.hpp"
 #include "util/timing.hpp"
-#include "util/transport.hpp"
 
 namespace smart::cli {
 
@@ -47,6 +35,21 @@ std::string precision_option(const CommandLine& cmd, const char* subcommand) {
                                 ": --precision must be f64 or f32");
   }
   return precision;
+}
+
+/// Strict integer option in [lo, hi]; else a usage error naming the range.
+int bounded_option(const CommandLine& cmd, const std::string& subcommand,
+                   const std::string& key, int fallback, int lo,
+                   int hi = std::numeric_limits<int>::max()) {
+  const int value = cmd.get_int(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument(
+        subcommand + ": --" + key + " must be " +
+        (hi == std::numeric_limits<int>::max()
+             ? ">= " + std::to_string(lo)
+             : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]"));
+  }
+  return value;
 }
 
 stencil::StencilPattern shape_from_options(const CommandLine& cmd) {
@@ -138,13 +141,10 @@ int cmd_profile(const CommandLine& cmd, std::ostream& out) {
   core::ProfileRunOptions run;
   run.journal_path = cmd.get("journal", "");
   run.resume = cmd.get_int("resume", 0) != 0;
-  run.retries = cmd.get_int("retries", run.retries);
+  run.retries = bounded_option(cmd, "profile", "retries", run.retries, 0);
   if (cmd.has("shard")) run.shard = parse_shard_option(cmd.get("shard", ""));
   if (run.resume && run.journal_path.empty()) {
     throw std::invalid_argument("profile: --resume requires --journal FILE");
-  }
-  if (run.retries < 0) {
-    throw std::invalid_argument("profile: --retries must be >= 0");
   }
   if (cmd.get_int("plan", 0) != 0) {
     if (!cmd.has("shard")) {
@@ -342,328 +342,31 @@ int cmd_advise(const CommandLine& cmd, std::ostream& out) {
   return 0;
 }
 
-std::atomic<bool> g_serve_stop{false};
-
-void serve_stop_handler(int) { g_serve_stop.store(true); }
-
-/// Installs a handler for `sig`, restoring the previous disposition on
-/// destruction (commands run in-process in the unit tests; handlers must
-/// not leak past the serve call).
-class ScopedSignal {
- public:
-  ScopedSignal(int sig, void (*handler)(int)) : sig_(sig) {
-    struct sigaction sa {};
-    sa.sa_handler = handler;
-    sigemptyset(&sa.sa_mask);
-    sigaction(sig_, &sa, &old_);
-  }
-  ~ScopedSignal() { sigaction(sig_, &old_, nullptr); }
-  ScopedSignal(const ScopedSignal&) = delete;
-  ScopedSignal& operator=(const ScopedSignal&) = delete;
-
- private:
-  int sig_;
-  struct sigaction old_ {};
-};
-
-/// Blocks `sig` for the calling thread — and, transitively, every thread
-/// spawned afterwards — restoring the previous mask on destruction. The
-/// reload poller then reaps the signal synchronously with sigtimedwait:
-/// unlike an async handler, delivery cannot be deferred by whatever the
-/// receiving thread happens to be blocked in (sanitizer runtimes queue
-/// async handlers until the interrupted thread reaches a safe point, which
-/// an idle thread may not hit for seconds).
-class ScopedSigblock {
- public:
-  explicit ScopedSigblock(int sig) {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, sig);
-    pthread_sigmask(SIG_BLOCK, &set, &old_);
-  }
-  ~ScopedSigblock() { pthread_sigmask(SIG_SETMASK, &old_, nullptr); }
-  ScopedSigblock(const ScopedSigblock&) = delete;
-  ScopedSigblock& operator=(const ScopedSigblock&) = delete;
-
- private:
-  sigset_t old_{};
-};
-
-/// One serve client: a line reader plus a thread-safe reply writer. Batched
-/// replies are written from the batcher thread, so a write failure (the
-/// peer vanished mid-reply) cannot throw there — it is captured and
-/// rethrown on the reader thread, where it propagates into the PR 5
-/// one-line `smartctl: error:` exit (rc 1) instead of SIGPIPE death.
-class ServeConnection {
- public:
-  ServeConnection(int read_fd, int write_fd)
-      : reader_(read_fd), writer_(write_fd) {}
-
-  core::AdvisorServer::Sink sink() {
-    return [this](const std::string& line) {
-      const std::lock_guard<std::mutex> lk(mu_);
-      if (dead_) return;  // the peer is gone: drop further replies quietly
-      try {
-        writer_.write_all(line + '\n');
-      } catch (...) {
-        dead_ = true;
-        error_ = std::current_exception();
-      }
-    };
-  }
-
-  util::LineChannel& reader() { return reader_; }
-  util::LineChannel& writer() { return writer_; }
-
-  /// Stops delivering replies (used by injected write faults to model a
-  /// severed peer without tearing down the fd mid-write).
-  void cut() {
-    const std::lock_guard<std::mutex> lk(mu_);
-    dead_ = true;
-  }
-
-  void rethrow_write_error() {
-    const std::lock_guard<std::mutex> lk(mu_);
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  util::LineChannel reader_;
-  util::LineChannel writer_;
-  std::mutex mu_;
-  bool dead_ = false;
-  std::exception_ptr error_;
-};
-
-void serve_connection(core::AdvisorServer& server, int read_fd,
-                      int write_fd) {
-  ServeConnection conn(read_fd, write_fd);
-  const auto sink = conn.sink();
-  std::string line;
-  try {
-    for (;;) {
-      const auto r = conn.reader().read_line(line, &g_serve_stop);
-      if (r != util::LineChannel::ReadResult::kLine) {
-        // EOF or SIGTERM/SIGINT: answer everything already accepted
-        // (graceful drain — no request is dropped), then leave.
-        server.drain();
-        conn.rethrow_write_error();
-        return;
-      }
-      const bool keep = server.submit(line, sink);
-      conn.rethrow_write_error();
-      if (!keep) return;
-    }
-  } catch (...) {
-    // The server queue still holds sinks that capture `conn`; flush them
-    // while it is alive (a dead peer drops replies quietly), THEN let the
-    // error unwind. Without this, the batcher thread would call into a
-    // destroyed connection.
-    server.drain();
-    throw;
-  }
-}
-
-/// Per-connection limits of the multi-client accept loop.
-struct ServeLimits {
-  int max_inflight = 1024;
-  int idle_timeout_ms = 0;   // 0 = never reap idle connections
-  int write_timeout_ms = 0;  // 0 = block forever on a slow reader
-};
-
-/// Best-effort second token of a request line (the id) for cli-layer busy
-/// replies; "-" when it is missing or not a protocol-legal id.
-std::string line_request_id(const std::string& line) {
-  std::size_t i = 0;
-  while (i < line.size() && line[i] == ' ') ++i;
-  while (i < line.size() && line[i] != ' ') ++i;  // skip the verb
-  while (i < line.size() && line[i] == ' ') ++i;
-  const std::size_t start = i;
-  while (i < line.size() && line[i] != ' ') ++i;
-  const std::string id = line.substr(start, i - start);
-  if (id.empty() || id.size() > core::serve::kMaxIdBytes) return "-";
-  for (const char c : id) {
-    const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                    c == ':' || c == '-';
-    if (!ok) return "-";
-  }
-  return id;
-}
-
-bool blank_line(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-/// One socket session under the multi-client accept loop. A failing peer
-/// (disconnect, write error, injected read/write fault, idle timeout) ends
-/// only this session — the daemon keeps serving everyone else. Sets
-/// g_serve_stop when this client's shutdown verb was accepted.
-void serve_session(core::AdvisorServer& server, int fd, std::uint64_t conn_id,
-                   const ServeLimits& limits) {
-  ServeConnection conn(fd, fd);
-  conn.reader().set_idle_timeout_ms(limits.idle_timeout_ms);
-  if (limits.write_timeout_ms > 0) {
-    conn.writer().set_write_timeout_ms(limits.write_timeout_ms);
-  }
-  // In-flight = submitted minus replied on THIS connection; the sink
-  // wrapper decrements as each reply (batched, memoized, control or shed)
-  // is delivered.
-  const auto inflight = std::make_shared<std::atomic<int>>(0);
-  const auto base = conn.sink();
-  const core::AdvisorServer::Sink sink = [base,
-                                          inflight](const std::string& line) {
-    base(line);
-    inflight->fetch_sub(1, std::memory_order_acq_rel);
-  };
-  const auto& faults = util::FaultInjector::global();
-  std::string line;
-  int reads = 0;
-  int writes = 0;
-  try {
-    for (;;) {
-      const auto r = conn.reader().read_line(line, &g_serve_stop);
-      if (r != util::LineChannel::ReadResult::kLine) {
-        // EOF, idle timeout or SIGTERM/shutdown: answer everything this
-        // client already submitted (graceful drain), then hang up.
-        server.drain();
-        conn.rethrow_write_error();
-        if (r == util::LineChannel::ReadResult::kIdleTimeout) {
-          std::fprintf(stderr, "serve: connection %llu: idle timeout, closing\n",
-                       static_cast<unsigned long long>(conn_id));
-        }
-        return;
-      }
-      faults.inject(util::FaultSite::kRead, conn_id, reads++);
-      faults.inject(util::FaultSite::kWrite, conn_id, writes++);
-      if (!blank_line(line)) {
-        if (inflight->load(std::memory_order_acquire) >= limits.max_inflight) {
-          // Per-connection cap: shed at the edge with a structured reply
-          // instead of letting one pipelining client monopolize the queue.
-          base(core::serve::err_reply(line_request_id(line),
-                                      "busy (connection in-flight cap)"));
-          conn.rethrow_write_error();
-          continue;
-        }
-        inflight->fetch_add(1, std::memory_order_acq_rel);
-      }
-      const bool keep = server.submit(line, sink);
-      conn.rethrow_write_error();
-      if (!keep) {
-        // This client's shutdown verb was accepted (or raced another
-        // client's): stop the whole daemon.
-        g_serve_stop.store(true);
-        return;
-      }
-    }
-  } catch (const util::FaultError&) {
-    // Injected read/write fault: treat as a severed peer — no further
-    // replies reach it; flush the queue, hang up.
-    conn.cut();
-    server.drain();
-  } catch (const std::exception& e) {
-    // A broken peer (write error, read error) must not kill the daemon;
-    // flush sinks that still capture `conn`, log, and close this session.
-    server.drain();
-    std::fprintf(stderr, "serve: connection %llu: %s\n",
-                 static_cast<unsigned long long>(conn_id), e.what());
-  }
-}
-
-/// Session threads of the accept loop. Finished sessions are reaped on the
-/// next launch (and at join_all), so the thread list stays proportional to
-/// the live connection count, not the connection total.
-class SessionSet {
- public:
-  void launch(std::function<void()> fn) {
-    const std::lock_guard<std::mutex> lk(mu_);
-    reap_locked();
-    threads_.emplace_back([this, fn = std::move(fn)] {
-      fn();
-      const std::lock_guard<std::mutex> lk2(mu_);
-      done_.push_back(std::this_thread::get_id());
-    });
-  }
-
-  void join_all() {
-    std::vector<std::thread> taken;
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      taken.swap(threads_);
-      done_.clear();
-    }
-    for (std::thread& t : taken) t.join();
-  }
-
- private:
-  void reap_locked() {
-    for (const std::thread::id id : done_) {
-      for (auto it = threads_.begin(); it != threads_.end(); ++it) {
-        if (it->get_id() == id) {
-          it->join();
-          threads_.erase(it);
-          break;
-        }
-      }
-    }
-    done_.clear();
-  }
-
-  std::mutex mu_;
-  std::vector<std::thread> threads_;
-  std::vector<std::thread::id> done_;
-};
-
 int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   // Every flag is validated BEFORE the model load, so usage errors are
   // instant (and exit 2) instead of surfacing after seconds of deserializing.
   if (!cmd.has("model")) {
     throw std::invalid_argument("serve: --model FILE is required");
   }
-  const bool stdio = cmd.get_int("stdio", 0) != 0;
-  if (stdio && cmd.has("socket")) {
+  if (cmd.get_int("stdio", 0) != 0 && cmd.has("socket")) {
     throw std::invalid_argument(
         "serve: --socket and --stdio are mutually exclusive");
   }
-  const std::string socket_path = cmd.get("socket", "");
-  core::ServeConfig config;
-  config.max_batch = cmd.get_int("max-batch", 8);
-  if (config.max_batch < 1 || config.max_batch > 4096) {
-    throw std::invalid_argument("serve: --max-batch must be in [1, 4096]");
-  }
-  const int max_wait = cmd.get_int("max-wait-us", 200);
-  if (max_wait < 0) {
-    throw std::invalid_argument("serve: --max-wait-us must be >= 0");
-  }
-  config.max_wait_us = max_wait;
-  const int max_queue = cmd.get_int("max-queue", 1024);
-  if (max_queue < 1 || max_queue > (1 << 20)) {
-    throw std::invalid_argument("serve: --max-queue must be in [1, 1048576]");
-  }
-  config.max_queue = static_cast<std::size_t>(max_queue);
-  const int deadline_us = cmd.get_int("deadline-us", 0);
-  if (deadline_us < 0) {
-    throw std::invalid_argument("serve: --deadline-us must be >= 0");
-  }
-  config.deadline_us = deadline_us;
-  const int max_conns = cmd.get_int("max-conns", 16);
-  if (max_conns < 1 || max_conns > 1024) {
-    throw std::invalid_argument("serve: --max-conns must be in [1, 1024]");
-  }
-  ServeLimits limits;
-  limits.max_inflight = cmd.get_int("max-inflight", 1024);
-  if (limits.max_inflight < 1 || limits.max_inflight > (1 << 20)) {
-    throw std::invalid_argument(
-        "serve: --max-inflight must be in [1, 1048576]");
-  }
-  limits.idle_timeout_ms = cmd.get_int("idle-timeout-ms", 0);
-  if (limits.idle_timeout_ms < 0) {
-    throw std::invalid_argument("serve: --idle-timeout-ms must be >= 0");
-  }
-  limits.write_timeout_ms = cmd.get_int("write-timeout-ms", 0);
-  if (limits.write_timeout_ms < 0) {
-    throw std::invalid_argument("serve: --write-timeout-ms must be >= 0");
-  }
+  core::ServeOptions options;
+  options.socket_path = cmd.get("socket", "");
+  core::ServeConfig& config = options.config;
+  config.max_batch = bounded_option(cmd, "serve", "max-batch", 8, 1, 4096);
+  config.max_wait_us = bounded_option(cmd, "serve", "max-wait-us", 200, 0);
+  config.max_queue = static_cast<std::size_t>(
+      bounded_option(cmd, "serve", "max-queue", 1024, 1, 1 << 20));
+  config.deadline_us = bounded_option(cmd, "serve", "deadline-us", 0, 0);
+  core::ServeLimits& limits = options.limits;
+  limits.max_conns = bounded_option(cmd, "serve", "max-conns", 16, 1, 1024);
+  limits.max_inflight =
+      bounded_option(cmd, "serve", "max-inflight", 1024, 1, 1 << 20);
+  limits.idle_timeout_ms = bounded_option(cmd, "serve", "idle-timeout-ms", 0, 0);
+  limits.write_timeout_ms =
+      bounded_option(cmd, "serve", "write-timeout-ms", 0, 0);
   config.precision = precision_option(cmd, "serve");
   // --faults scopes an injected accept/read/write fault schedule to this
   // daemon (chaos harness); it overrides and restores SMART_FAULTS.
@@ -671,151 +374,20 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   if (cmd.has("faults")) {
     faults.emplace(util::parse_fault_spec(cmd.get("faults", "")));
   }
-  const bool timing = cmd.get_int("timing", 0) != 0;
+  options.timing = cmd.get_int("timing", 0) != 0;
 
   // The provider re-validates the artifact through the strict load_model
   // reader on every (re)load; the daemon starts by loading through the same
   // path, so the banner and the reload verb can never disagree about what a
   // "valid artifact" is.
-  const std::string model_path = cmd.get("model", "");
-  const core::ModelProvider provider = [model_path] {
-    core::ModelSnapshot snapshot;
+  options.model_path = cmd.get("model", "");
+  const core::ModelProvider provider = [model_path = options.model_path] {
     const core::ModelArtifactInfo info = core::inspect_model(model_path);
-    snapshot.mart = std::make_shared<const core::StencilMart>(
-        core::load_model(model_path));
-    snapshot.version = info.version;
-    snapshot.checksum = info.checksum;
-    return snapshot;
+    return core::ModelSnapshot{std::make_shared<const core::StencilMart>(
+                                   core::load_model(model_path)),
+                               info.version, info.checksum};
   };
-  // SIGHUP is blocked before any daemon thread exists, so every thread
-  // inherits the mask and a HUP stays pending until the reload poller
-  // reaps it with sigtimedwait.
-  const ScopedSigblock block_hup(SIGHUP);
-  core::AdvisorServer server(provider(), config, provider);
-
-  g_serve_stop.store(false);
-  const ScopedSignal on_term(SIGTERM, serve_stop_handler);
-  const ScopedSignal on_int(SIGINT, serve_stop_handler);
-  const ScopedSignal ignore_pipe(SIGPIPE, SIG_IGN);
-
-  // Startup banner: which artifact is live. Written to stderr in stdio
-  // mode, where stdout is the protocol stream.
-  {
-    const auto snapshot = server.model_snapshot();
-    std::ostringstream banner;
-    banner << "serve: model " << model_path << " version=" << snapshot.version
-           << " checksum=" << snapshot.checksum << " epoch=" << server.epoch();
-    if (socket_path.empty()) {
-      // stdio mode: stdout is the protocol stream, the banner goes aside.
-      std::fprintf(stderr, "%s\n", banner.str().c_str());
-    } else {
-      out << banner.str() << std::endl;
-    }
-  }
-
-  // SIGHUP poller: hot reload without interrupting traffic. The blocked
-  // signal is reaped synchronously (sigtimedwait doubles as the poll
-  // sleep), so reload latency is bounded by the timeout rather than by
-  // async-handler delivery. Outcome notices go to stderr (operators watch
-  // stderr; protocol stdout stays clean). A failed reload keeps the old
-  // model serving.
-  std::atomic<bool> poller_stop{false};
-  std::thread reload_poller([&server, &poller_stop] {
-    sigset_t hup;
-    sigemptyset(&hup);
-    sigaddset(&hup, SIGHUP);
-    const timespec tick{0, 20 * 1000 * 1000};
-    while (!poller_stop.load(std::memory_order_acquire)) {
-      if (sigtimedwait(&hup, nullptr, &tick) != SIGHUP) continue;
-      try {
-        const std::uint64_t epoch = server.reload();
-        const auto snapshot = server.model_snapshot();
-        std::fprintf(stderr,
-                     "serve: reloaded epoch=%llu version=%s checksum=%s\n",
-                     static_cast<unsigned long long>(epoch),
-                     snapshot.version.c_str(), snapshot.checksum.c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "serve: reload failed: %s\n", e.what());
-      }
-    }
-  });
-  struct PollerJoin {
-    std::atomic<bool>& stop;
-    std::thread& thread;
-    ~PollerJoin() {
-      stop.store(true, std::memory_order_release);
-      if (thread.joinable()) thread.join();
-    }
-  } poller_join{poller_stop, reload_poller};
-
-  if (socket_path.empty()) {
-    serve_connection(server, STDIN_FILENO, STDOUT_FILENO);
-  } else {
-    const int listen_fd = util::listen_unix(socket_path);
-    out << "serve: listening on " << socket_path << " (max-conns "
-        << max_conns << ", max-queue " << max_queue << ")" << std::endl;
-    SessionSet sessions;
-    std::shared_ptr<std::atomic<int>> active =
-        std::make_shared<std::atomic<int>>(0);
-    std::uint64_t conn_counter = 0;
-    try {
-      for (;;) {
-        const int fd = util::accept_unix(listen_fd, &g_serve_stop);
-        if (fd < 0) break;  // stop flag: SIGTERM/SIGINT or shutdown verb
-        const std::uint64_t conn_id = ++conn_counter;
-        try {
-          util::FaultInjector::global().inject(util::FaultSite::kAccept,
-                                               conn_id);
-        } catch (const util::FaultError&) {
-          ::close(fd);  // injected accept fault: drop the fresh connection
-          continue;
-        }
-        if (active->load(std::memory_order_acquire) >= max_conns) {
-          // Connection-capacity shed: one structured line, then hang up —
-          // the client knows it was refused, not ignored.
-          util::LineChannel refuse(fd);
-          try {
-            refuse.write_all("err - busy (connection capacity)\n");
-          } catch (const std::exception&) {
-          }
-          ::close(fd);
-          continue;
-        }
-        active->fetch_add(1, std::memory_order_acq_rel);
-        sessions.launch([&server, fd, conn_id, limits, active] {
-          serve_session(server, fd, conn_id, limits);
-          ::close(fd);
-          active->fetch_sub(1, std::memory_order_acq_rel);
-        });
-      }
-      sessions.join_all();
-      server.drain();
-    } catch (...) {
-      g_serve_stop.store(true);
-      sessions.join_all();
-      ::close(listen_fd);
-      ::unlink(socket_path.c_str());
-      throw;
-    }
-    ::close(listen_fd);
-    ::unlink(socket_path.c_str());
-  }
-
-  if (timing) {
-    const auto counters = server.counters_snapshot();
-    out << "serve: served=" << counters.served
-        << " errors=" << counters.errors
-        << " memo_hits=" << counters.memo_hits
-        << " batches=" << counters.batches
-        << " shed_busy=" << counters.shed_busy
-        << " shed_deadline=" << counters.shed_deadline
-        << " p50_us=" << counters.p50_us
-        << " p99_us=" << counters.p99_us
-        << " qps=" << util::format_double(counters.qps, 1)
-        << " epoch=" << counters.epoch << '\n'
-        << util::timing_report();
-  }
-  return 0;
+  return core::run_daemon(options, provider, out);
 }
 
 int cmd_codegen(const CommandLine& cmd, std::ostream& out) {
@@ -845,9 +417,8 @@ int cmd_codegen(const CommandLine& cmd, std::ostream& out) {
 
 int cmd_features(const CommandLine& cmd, std::ostream& out) {
   const auto pattern = shape_from_options(cmd);
-  constexpr int kMaxOrder = 4;
-  const auto features = stencil::extract_features(pattern, kMaxOrder);
-  const auto names = stencil::FeatureSet::names(kMaxOrder);
+  const auto features = stencil::extract_features(pattern, stencil::kMaxOrder);
+  const auto names = stencil::FeatureSet::names(stencil::kMaxOrder);
   const auto values = features.to_vector();
   util::Table table({"feature", "value"});
   for (std::size_t i = 0; i < names.size(); ++i) {

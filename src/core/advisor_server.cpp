@@ -141,14 +141,7 @@ std::uint64_t AdvisorServer::reload() {
 }
 
 bool AdvisorServer::submit(std::string_view line, const Sink& sink) {
-  bool blank = true;
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') {
-      blank = false;
-      break;
-    }
-  }
-  if (blank) return !shutdown_.load(std::memory_order_acquire);
+  if (serve::is_blank(line)) return !shutdown_.load(std::memory_order_acquire);
 
   auto parsed = serve::parse_request(line);
   if (shutdown_.load(std::memory_order_acquire)) {

@@ -128,7 +128,7 @@ using ModelProvider = std::function<ModelSnapshot()>;
 class AdvisorServer {
  public:
   /// Reply sink: receives exactly one reply line (no trailing newline) per
-  /// submitted non-empty request line. Must be thread-safe.
+  /// submitted non-blank request line. Must be thread-safe.
   using Sink = std::function<void(const std::string&)>;
 
   /// `mart` must be trained and must outlive the server. No reload support
@@ -146,7 +146,7 @@ class AdvisorServer {
   AdvisorServer(const AdvisorServer&) = delete;
   AdvisorServer& operator=(const AdvisorServer&) = delete;
 
-  /// Feeds one request line. Empty / all-space lines are ignored (no
+  /// Feeds one request line. Blank lines (serve::is_blank) are ignored (no
   /// reply). Returns false once a shutdown request has been accepted — all
   /// requests submitted before it are answered first (drain), then the
   /// shutdown's own `ok <id> bye` reply is delivered; the caller should

@@ -234,14 +234,14 @@ OcMerger OcMerger::load(std::istream& in) {
   }
   OcMerger merger;
   merger.num_groups_ = num_groups;
-  merger.group_.resize(num_ocs);
-  for (int& g : merger.group_) {
-    g = util::read_int(in, "ocmerger group id");
+  // Both counts are untrusted: grow per record, never size from them.
+  for (std::size_t oc = 0; oc < num_ocs; ++oc) {
+    const int g = util::read_int(in, "ocmerger group id");
     if (g < 0 || g >= num_groups) {
       throw std::runtime_error("OcMerger::load: group id out of range");
     }
+    merger.group_.push_back(g);
   }
-  merger.representatives_.resize(static_cast<std::size_t>(num_groups));
   for (int gid = 0; gid < num_groups; ++gid) {
     const int rep = util::read_int(in, "ocmerger representative");
     if (rep < 0 || static_cast<std::size_t>(rep) >= num_ocs ||
@@ -249,7 +249,7 @@ OcMerger OcMerger::load(std::istream& in) {
       throw std::runtime_error(
           "OcMerger::load: representative not a member of its group");
     }
-    merger.representatives_[static_cast<std::size_t>(gid)] = rep;
+    merger.representatives_.push_back(rep);
   }
   return merger;
 }

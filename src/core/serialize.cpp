@@ -1,5 +1,6 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -48,6 +49,11 @@ stencil::StencilPattern decode_offsets(int dims, const std::string& text) {
     int z = 0;
     if (std::sscanf(token.c_str(), "%d:%d:%d", &x, &y, &z) != 3) {
       throw std::runtime_error("load_dataset: bad offset token '" + token + "'");
+    }
+    // A Point stores int8 coordinates: bound them before they can wrap.
+    if (std::max({std::abs(x), std::abs(y), std::abs(z)}) > stencil::kMaxOrder) {
+      throw std::runtime_error(
+          "load_dataset: offset coordinate out of range in '" + token + "'");
     }
     points.push_back(stencil::Point{x, y, z});
   }
@@ -177,6 +183,11 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
         ds.config.samples_per_oc >> ds.config.seed >>
         ds.config.sim.noise_sigma >> vary_size >> vary_boundary;
     ctx.expect(static_cast<bool>(header), "unparsable header");
+    ctx.expect(ds.config.dims == 2 || ds.config.dims == 3,
+               "header dims must be 2 or 3");
+    ctx.expect(ds.config.max_order >= 1 &&
+                   ds.config.max_order <= stencil::kMaxOrder,
+               "header max_order must be in [1, 4]");
     ds.config.num_stencils = static_cast<int>(num_stencils);
     ds.config.vary_problem_size = vary_size != 0;
     ds.config.vary_boundary = vary_boundary != 0;
@@ -184,13 +195,10 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
   ds.problem = gpusim::ProblemSize::paper_default(ds.config.dims);
   ds.gpus = gpusim::evaluation_gpus();
 
+  // The header's stencil count is untrusted: the per-stencil tables grow
+  // with each stencil record, and setting/time/quar records may only name
+  // a stencil already read (save_dataset writes stencils first).
   const std::size_t num_ocs = ProfileDataset::num_ocs();
-  ds.settings.assign(num_stencils,
-                     std::vector<std::vector<gpusim::ParamSetting>>(num_ocs));
-  ds.times.assign(num_stencils,
-                  std::vector<std::vector<std::vector<double>>>(
-                      ds.gpus.size(),
-                      std::vector<std::vector<double>>(num_ocs)));
 
   while (std::getline(in, line)) {
     ctx.advance();
@@ -218,15 +226,20 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
       ds.problems.push_back(prob);
       try {
         ds.stencils.push_back(decode_offsets(ds.config.dims, offsets));
-      } catch (const std::runtime_error& e) {
+      } catch (const std::exception& e) {
         ctx.fail(e.what());
       }
+      ctx.expect(ds.stencils.back().order() <= ds.config.max_order,
+                 "stencil order exceeds the header's max_order");
+      ds.settings.emplace_back(num_ocs);
+      ds.times.emplace_back(ds.gpus.size(),
+                            std::vector<std::vector<double>>(num_ocs));
     } else if (tag == "setting") {
       std::size_t s = 0;
       std::size_t oc = 0;
       record >> s >> oc;
       ctx.expect(static_cast<bool>(record), "unparsable setting indices");
-      ctx.expect(s < num_stencils && oc < num_ocs,
+      ctx.expect(s < ds.stencils.size() && oc < num_ocs,
                  "setting index out of range");
       ds.settings[s][oc].push_back(decode_setting(record));
       ctx.expect(static_cast<bool>(record), "unparsable setting record");
@@ -238,7 +251,7 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
       std::string value;
       record >> s >> g >> oc >> k >> value;
       ctx.expect(static_cast<bool>(record), "unparsable time record");
-      ctx.expect(s < num_stencils && g < ds.gpus.size() && oc < num_ocs,
+      ctx.expect(s < ds.stencils.size() && g < ds.gpus.size() && oc < num_ocs,
                  "time index out of range");
       auto& ts = ds.times[s][g][oc];
       ctx.expect(k == ts.size(), "time records out of order");
@@ -258,7 +271,7 @@ ProfileDataset load_dataset(std::istream& in, const std::string& source) {
       QuarantineRecord q;
       record >> q.stencil >> q.oc >> q.gpu;
       ctx.expect(static_cast<bool>(record), "unparsable quarantine record");
-      ctx.expect(q.stencil < num_stencils && q.gpu < ds.gpus.size() &&
+      ctx.expect(q.stencil < ds.stencils.size() && q.gpu < ds.gpus.size() &&
                      q.oc < num_ocs,
                  "quarantine index out of range");
       std::getline(record, q.reason);
@@ -377,6 +390,10 @@ StencilMart load_model(std::istream& in, const std::string& source) {
         util::read_int(payload, "config vary_boundary") != 0;
     if (config.profile.dims != 2 && config.profile.dims != 3) {
       throw std::runtime_error("load_model: config dims out of range");
+    }
+    if (config.profile.max_order < 1 ||
+        config.profile.max_order > stencil::kMaxOrder) {
+      throw std::runtime_error("load_model: config max_order out of range");
     }
     util::expect_word(payload, "regconfig", "load_model regression config");
     RegressionConfig& r = config.regression;

@@ -9,9 +9,17 @@ namespace smart::core::serve {
 
 namespace {
 
-bool valid_id_char(char c) {
-  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-         (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':' || c == '-';
+/// The id grammar: 1..kMaxIdBytes characters of [A-Za-z0-9_.:-].
+bool valid_id(std::string_view id) {
+  if (id.empty() || id.size() > kMaxIdBytes) return false;
+  for (const char c : id) {
+    if (!((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+          (c >= '0' && c <= '9') || c == '_' || c == '.' || c == ':' ||
+          c == '-')) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool valid_gpu_char(char c) {
@@ -44,7 +52,7 @@ ParseResult fail(std::string id, std::string error) {
 /// the paper's maximum stencil order so a Point's int8 storage cannot wrap.
 bool parse_offsets(const std::string& value, int& dims,
                    std::vector<stencil::Point>& points, std::string& error) {
-  constexpr int kMaxCoord = 4;  // paper: maximum stencil order 4
+  constexpr int kMaxCoord = stencil::kMaxOrder;
   constexpr std::size_t kMaxPoints = 1024;
   dims = 0;
   std::size_t i = 0;
@@ -111,6 +119,15 @@ std::string to_string(Verb verb) {
   return "?";
 }
 
+bool is_blank(std::string_view line) {
+  return line.find_first_not_of(" \t\r") == std::string_view::npos;
+}
+
+std::string request_id(std::string_view line) {
+  const auto tokens = split_tokens(line);
+  return tokens.size() >= 2 && valid_id(tokens[1]) ? tokens[1] : "-";
+}
+
 ParseResult parse_request(std::string_view line) {
   if (line.size() > kMaxRequestBytes) {
     return fail("-", "oversize request line (max " +
@@ -138,10 +155,8 @@ ParseResult parse_request(std::string_view line) {
   if (tokens.size() < 2) return fail("-", "missing request id");
   const std::string& id = tokens[1];
   if (id.size() > kMaxIdBytes) return fail("-", "request id too long (max 64)");
-  for (const char c : id) {
-    if (!valid_id_char(c)) {
-      return fail("-", "request id has invalid characters ([A-Za-z0-9_.:-])");
-    }
+  if (!valid_id(id)) {
+    return fail("-", "request id has invalid characters ([A-Za-z0-9_.:-])");
   }
 
   const bool takes_keys = verb == Verb::kAdvise || verb == Verb::kPredict;

@@ -17,7 +17,7 @@
 // shutdown take no keys. healthz reports the live model's version,
 // checksum and epoch; reload asks the daemon to re-validate and swap in
 // the model artifact it was started from (the epoch increments on
-// success). Empty lines are ignored. Anything else — unknown verbs, bad ids,
+// success). Blank lines (see is_blank) are ignored. Anything else — unknown verbs, bad ids,
 // duplicate/unknown keys, malformed numbers, out-of-range geometry,
 // control bytes, oversize lines — yields `err <id-or-dash> <reason>`.
 //
@@ -60,6 +60,14 @@ struct ParseResult {
   std::string id = "-";  // best-effort id for err replies
   std::string error;     // one line, no '\n', set when !ok
 };
+
+/// True for a line that gets no reply: empty, or only spaces, tabs and
+/// CRs. A transport that counts replies per request must use this rule.
+bool is_blank(std::string_view line);
+
+/// Best-effort id of a request line (its second token) by the id grammar,
+/// for replies sent without parsing the line; "-" when missing or invalid.
+std::string request_id(std::string_view line);
 
 /// Parses one request line. Never throws; never crashes on arbitrary bytes.
 ParseResult parse_request(std::string_view line);

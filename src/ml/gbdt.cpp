@@ -299,7 +299,7 @@ GbdtRegressor GbdtRegressor::load(std::istream& in) {
   GbdtRegressor model(load_params(in));
   model.base_ = util::read_f64(in, "gbr base score");
   const std::size_t num_trees = util::read_size(in, "gbr tree count");
-  model.trees_.reserve(num_trees);
+  model.trees_.reserve(std::min<std::size_t>(num_trees, 4096));  // untrusted
   for (std::size_t i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }
@@ -326,16 +326,18 @@ GbdtClassifier GbdtClassifier::load(std::istream& in) {
   if (model.num_classes_ < 2) {
     throw std::runtime_error("GbdtClassifier::load: bad class count");
   }
-  model.base_scores_.resize(static_cast<std::size_t>(model.num_classes_));
-  for (double& b : model.base_scores_) {
-    b = util::read_f64(in, "gbc base score");
+  // Both counts are untrusted: grow per record (as RegressionTree::load
+  // does), so a forged count fails at the first missing token instead of
+  // allocating for it.
+  for (int k = 0; k < model.num_classes_; ++k) {
+    model.base_scores_.push_back(util::read_f64(in, "gbc base score"));
   }
   const std::size_t num_trees = util::read_size(in, "gbc tree count");
   if (num_trees % static_cast<std::size_t>(model.num_classes_) != 0) {
     throw std::runtime_error(
         "GbdtClassifier::load: tree count not a multiple of classes");
   }
-  model.trees_.reserve(num_trees);
+  model.trees_.reserve(std::min<std::size_t>(num_trees, 4096));
   for (std::size_t i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }

@@ -18,6 +18,10 @@ namespace smart::stencil {
 /// Maximum supported dimensionality (the paper evaluates 2-D and 3-D).
 inline constexpr int kMaxDims = 3;
 
+/// Largest stencil order (the paper's N = 4): bounds every offset
+/// coordinate and the feature layout's max_order.
+inline constexpr int kMaxOrder = 4;
+
 /// An integer offset from the stencil centre. Unused trailing coordinates
 /// are zero, so a Point is comparable across code paths regardless of dims.
 struct Point {

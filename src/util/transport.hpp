@@ -1,12 +1,10 @@
 // Byte transports for the serve daemon: a buffered line reader/writer over
 // a raw file descriptor (works for stdin/stdout and for sockets alike) plus
 // AF_UNIX listen/accept/connect helpers. All blocking operations poll with
-// a short timeout and honour an optional stop flag, so a SIGTERM handler
-// that sets the flag unblocks the daemon within one poll interval without
-// relying on EINTR semantics of any particular libc wrapper. Interrupted
-// poll/read/write/connect calls (EINTR) are always retried — a SIGHUP
-// aimed at the reload path must never surface as a spurious I/O error on
-// an unrelated connection.
+// a short timeout and honour an optional stop flag, so raising the flag
+// unblocks the daemon within one poll interval. Interrupted
+// poll/read/write/connect calls (EINTR) are always retried, so a signal
+// never surfaces as a spurious I/O error.
 //
 // Oversize handling: a line longer than kMaxLineBytes is returned truncated
 // to kMaxLineBytes + 1 bytes and the remainder up to the next newline is
@@ -70,8 +68,6 @@ class LineChannel {
   /// non-blocking mode (reads keep working — fill() handles EAGAIN).
   /// 0 disables (the default).
   void set_write_timeout_ms(int ms);
-
-  int fd() const noexcept { return fd_; }
 
  private:
   /// Appends more bytes to buf_. Returns false on EOF/stop/idle-timeout

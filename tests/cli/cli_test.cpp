@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,6 +120,36 @@ TEST(CliRun, ProfileSavesCorpus) {
                         out),
             0);
   EXPECT_NE(out.str().find("saved to"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(CliRun, ForgedCorpusHeaderIsARuntimeError) {
+  // A bad input file is not a usage error: `train --corpus` must fail with
+  // the rc-1 one-liner (std::runtime_error), never the rc-2 usage path.
+  std::ostringstream out;
+  const std::string path = testing::TempDir() + "smartctl_forged_corpus.txt";
+  ASSERT_EQ(run_command(parse({"profile", "--dims", "2", "--stencils", "6",
+                               "--samples", "2", "--out", path}),
+                        out),
+            0);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t header = text.find('\n') + 1;
+  for (const char* dims_order : {"9 4", "2 30000000"}) {
+    SCOPED_TRACE(dims_order);
+    {
+      std::ofstream forged(path);
+      forged << text.substr(0, header) << dims_order
+             << text.substr(text.find(' ', text.find(' ', header) + 1));
+    }
+    EXPECT_THROW(run_command(parse({"train", "--corpus", path, "--out",
+                                    path + ".smart"}),
+                             out),
+                 std::runtime_error);
+  }
   std::remove(path.c_str());
 }
 

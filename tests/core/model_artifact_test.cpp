@@ -24,12 +24,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
 #include "core/advisor_server.hpp"
 #include "core/mart.hpp"
 #include "core/serialize.hpp"
+#include "ml/gbdt.hpp"
 #include "stencil/pattern.hpp"
 #include "util/fault.hpp"
 #include "util/serialize_io.hpp"
@@ -42,11 +44,14 @@ void expect_bitwise(double a, double b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
 }
 
+/// 3-D, because a 2-D corpus of any size labels every stencil group 0 on
+/// the A100, which leaves that classifier a single leaf; at 12 3-D stencils
+/// every per-GPU classifier splits (EveryFixtureClassifierSplits).
 const ProfileDataset& artifact_corpus() {
   static const ProfileDataset ds = [] {
     ProfileConfig cfg;
-    cfg.dims = 2;
-    cfg.num_stencils = 6;
+    cfg.dims = 3;
+    cfg.num_stencils = 12;
     cfg.samples_per_oc = 2;
     cfg.seed = 909;
     return build_profile_dataset(cfg);
@@ -77,8 +82,8 @@ const StencilMart& trained_mart(RegressorKind kind) {
 }
 
 std::vector<stencil::StencilPattern> query_patterns() {
-  return {stencil::make_star(2, 2), stencil::make_box(2, 1),
-          stencil::make_cross(2, 3)};
+  return {stencil::make_star(3, 2), stencil::make_box(3, 1),
+          stencil::make_cross(3, 3)};
 }
 
 /// One advise_batch item with the rental recommendation.
@@ -172,6 +177,20 @@ std::string reference_payload() {
   return artifact.substr(header_end + 1, checksum_pos - header_end - 1);
 }
 
+/// The per-GPU classifiers of `mart`'s artifact, read back from its
+/// classifier section.
+std::vector<ml::GbdtClassifier> saved_classifiers(const StencilMart& mart) {
+  std::stringstream buffer;
+  save_model(mart, buffer);
+  const std::string artifact = buffer.str();
+  std::istringstream in(artifact.substr(artifact.find("\nclassifiers ") + 1));
+  util::expect_word(in, "classifiers", "classifier section");
+  std::vector<ml::GbdtClassifier> classifiers(
+      util::read_size(in, "classifier count"));
+  for (auto& clf : classifiers) clf = ml::GbdtClassifier::load(in);
+  return classifiers;
+}
+
 // --- unit label: round trips pinned to one thread. ---
 
 TEST(ModelArtifact, GbrRoundTripIsBitIdenticalSerial) {
@@ -189,12 +208,26 @@ TEST(ModelArtifact, ConvMlpRoundTripIsBitIdenticalSerial) {
   check_round_trip(RegressorKind::kConvMlp);
 }
 
+TEST(ModelArtifact, EveryFixtureClassifierSplits) {
+  // Round trips and load checks only exercise the classifier trees when the
+  // fixture corpus is rich enough for every per-GPU ensemble to split.
+  for (const RegressorKind kind :
+       {RegressorKind::kGbr, RegressorKind::kMlp, RegressorKind::kConvMlp}) {
+    const auto classifiers = saved_classifiers(trained_mart(kind));
+    ASSERT_EQ(classifiers.size(), trained_mart(kind).dataset().gpus.size());
+    for (std::size_t g = 0; g < classifiers.size(); ++g) {
+      EXPECT_GT(classifiers[g].feature_span(), 0u)
+          << to_string(kind) << " classifier " << g << " is all leaves";
+    }
+  }
+}
+
 TEST(ModelArtifact, FileRoundTrip) {
   const std::string path = testing::TempDir() + "smart_model_test.smart";
   save_model(trained_mart(RegressorKind::kGbr), path);
   const StencilMart loaded = load_model(path);
   EXPECT_TRUE(loaded.trained());
-  const auto pattern = stencil::make_star(2, 2);
+  const auto pattern = stencil::make_star(3, 2);
   const OcAdvice a =
       advise_one(trained_mart(RegressorKind::kGbr), pattern, "V100").advice;
   const OcAdvice b = advise_one(loaded, pattern, "V100").advice;
@@ -296,49 +329,56 @@ std::string with_split_feature(const std::string& section, long long feature) {
   return reseal(payload);
 }
 
-/// A split feature past the row end must be refused by load_model, by the
-/// one-shot CLI (a runtime error: rc 1, one line) and by a serve reload
-/// (err reply, epoch unchanged) — never read out of bounds.
+/// A mutant artifact must be refused by load_model (`needle` names why), by
+/// the one-shot CLI (a runtime error: rc 1, one line) and by a serve reload
+/// (err reply, epoch unchanged) — never crash, read out of bounds or
+/// allocate for a forged size.
+void check_rejected_everywhere(const std::string& mutant,
+                               const std::string& needle) {
+  expect_load_fails(mutant, needle);
+
+  const std::string path = testing::TempDir() + "smart_artifact_mutant.smart";
+  {
+    std::ofstream out(path);
+    out << mutant;
+  }
+  std::ostringstream cli_out;
+  EXPECT_THROW(cli::run_command(cli::parse_command_line(
+                                    {"advise", "--model", path, "--dims", "3",
+                                     "--shape", "star", "--order", "2"}),
+                                cli_out),
+               std::runtime_error);
+  std::remove(path.c_str());
+
+  const StencilMart& serving = trained_mart(RegressorKind::kGbr);
+  AdvisorServer server(
+      ModelSnapshot{std::shared_ptr<const StencilMart>(
+                        &serving, [](const StencilMart*) {}),
+                    "v1", "c1"},
+      {}, [&mutant] {
+        std::stringstream in(mutant);
+        return ModelSnapshot{
+            std::make_shared<const StencilMart>(load_model(in)), "v2", "c2"};
+      });
+  std::vector<std::string> replies;
+  server.submit("reload r1",
+                [&replies](const std::string& line) { replies.push_back(line); });
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].rfind("err r1 reload failed: ", 0), 0u) << replies[0];
+  EXPECT_NE(replies[0].find(needle), std::string::npos) << replies[0];
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(server.model_snapshot().version, "v1");
+}
+
+/// A split feature past the row end must be refused everywhere.
 void check_split_feature_rejected(const std::string& section,
                                   const std::string& needle,
                                   std::initializer_list<long long> features) {
   for (const long long feature : features) {
     SCOPED_TRACE("feature " + std::to_string(feature));
-    const std::string mutant = with_split_feature(section, feature);
-    expect_load_fails(mutant,
-                      needle + " splits on feature " + std::to_string(feature));
-
-    const std::string path = testing::TempDir() + "smart_split_mutant.smart";
-    {
-      std::ofstream out(path);
-      out << mutant;
-    }
-    std::ostringstream cli_out;
-    EXPECT_THROW(cli::run_command(cli::parse_command_line(
-                                      {"advise", "--model", path, "--dims", "2",
-                                       "--shape", "star", "--order", "2"}),
-                                  cli_out),
-                 std::runtime_error);
-    std::remove(path.c_str());
-
-    const StencilMart& serving = trained_mart(RegressorKind::kGbr);
-    AdvisorServer server(
-        ModelSnapshot{std::shared_ptr<const StencilMart>(
-                          &serving, [](const StencilMart*) {}),
-                      "v1", "c1"},
-        {}, [&mutant] {
-          std::stringstream in(mutant);
-          return ModelSnapshot{
-              std::make_shared<const StencilMart>(load_model(in)), "v2", "c2"};
-        });
-    std::vector<std::string> replies;
-    server.submit("reload r1",
-                  [&replies](const std::string& line) { replies.push_back(line); });
-    ASSERT_EQ(replies.size(), 1u);
-    EXPECT_EQ(replies[0].rfind("err r1 reload failed: ", 0), 0u) << replies[0];
-    EXPECT_NE(replies[0].find("splits on feature"), std::string::npos);
-    EXPECT_EQ(server.epoch(), 1u);
-    EXPECT_EQ(server.model_snapshot().version, "v1");
+    check_rejected_everywhere(
+        with_split_feature(section, feature),
+        needle + " splits on feature " + std::to_string(feature));
   }
 }
 
@@ -356,6 +396,58 @@ TEST(ModelArtifact, RejectsGbrSplitFeaturePastRowEnd) {
   check_split_feature_rejected("\nfitted ", "GBR tree", {34, 1000, 100000000});
   std::stringstream in(with_split_feature("\nfitted ", 33));
   EXPECT_NO_THROW(load_model(in));
+}
+
+/// The reference artifact with config field `index` (0 = dims,
+/// 1 = max_order) replaced by `value`, re-sealed.
+std::string with_config_field(std::size_t index, const std::string& value) {
+  std::string payload = reference_payload();
+  std::size_t begin = payload.find(' ') + 1;  // after "config"
+  for (std::size_t i = 0; i < index; ++i) begin = payload.find(' ', begin) + 1;
+  payload.replace(begin, payload.find(' ', begin) - begin, value);
+  return reseal(payload);
+}
+
+TEST(ModelArtifact, RejectsConfigValuesPastTheGeneratorsLimits) {
+  check_rejected_everywhere(with_config_field(0, "9"),
+                            "config dims out of range");
+  // max_order sizes the feature layout: an unchecked 30000000 loads and
+  // then dies with std::bad_alloc on the first advise.
+  for (const char* order : {"30000000", "5", "0", "-1"}) {
+    SCOPED_TRACE(order);
+    check_rejected_everywhere(with_config_field(1, order),
+                              "config max_order out of range");
+  }
+  // Control: the generator's own range loads.
+  std::stringstream in(with_config_field(1, "4"));
+  EXPECT_NO_THROW(load_model(in));
+}
+
+TEST(ModelArtifact, RejectsForgedSectionCounts) {
+  // Section counts must never size an allocation: sized from them, a
+  // re-sealed classifier class count of 300000000 allocates 2.4 GB, and an
+  // OC-merger OC count of 300000000 1.2 GB, before the parse fails.
+  std::string payload = reference_payload();
+  const std::size_t gbc =
+      payload.find("\ngbc ", payload.find("\nclassifiers ")) + 1;
+  const std::size_t count = payload.find('\n', gbc) + 1;
+  payload.replace(count, payload.find(' ', count) - count, "300000000");
+  check_rejected_everywhere(reseal(payload), "gbc base score");
+
+  const std::pair<std::size_t, const char*> merger_counts[] = {
+      {1, "ocmerger representative"},                // group count
+      {2, "OcMerger::load: group id out of range"},  // OC count
+  };
+  for (const auto& [field, needle] : merger_counts) {
+    SCOPED_TRACE(needle);
+    payload = reference_payload();
+    std::size_t begin = payload.find("\nocmerger ") + 1;
+    for (std::size_t i = 0; i < field; ++i) {
+      begin = payload.find(' ', begin) + 1;
+    }
+    payload.replace(begin, payload.find(' ', begin) - begin, "300000000");
+    check_rejected_everywhere(reseal(payload), needle);
+  }
 }
 
 TEST(ModelArtifact, PayloadParseErrorsCarrySourceAndByteOffset) {

@@ -163,6 +163,57 @@ TEST(Serialize, ParseErrorsCarrySourceAndLineContext) {
   }
 }
 
+/// `text` with its header line's first three fields (dims, max_order,
+/// stencil count) replaced by `fields`.
+std::string with_header(const std::string& text, const std::string& fields) {
+  const std::size_t begin = text.find('\n') + 1;
+  std::size_t cut = begin;
+  for (int i = 0; i < 3; ++i) cut = text.find(' ', cut) + 1;
+  return text.substr(0, begin) + fields + ' ' + text.substr(cut);
+}
+
+TEST(Serialize, RejectsHeaderValuesPastTheGeneratorsLimits) {
+  // Forged header values must fail as a "<source>:<line>:" parse error —
+  // not a usage error, not std::bad_alloc, and not after allocating for a
+  // stencil count the file does not hold.
+  const auto original = make_dataset();
+  std::stringstream buffer;
+  save_dataset(original, buffer);
+  const std::string text = buffer.str();
+  const struct {
+    std::string fields;
+    std::string needle;
+  } mutants[] = {
+      {"9 4 6", "corpus.txt:2: header dims must be 2 or 3"},
+      {"2 30000000 6", "corpus.txt:2: header max_order must be in [1, 4]"},
+      {"2 0 6", "corpus.txt:2: header max_order must be in [1, 4]"},
+      {"2 1 6", "stencil order exceeds the header's max_order"},
+      {"2 4 3000000", "stencil count mismatch (header says 3000000"},
+      {"2 4 300000000", "stencil count mismatch (header says 300000000"},
+  };
+  const auto expect_rejected = [](const std::string& corpus,
+                                  const std::string& needle) {
+    std::stringstream in(corpus);
+    try {
+      load_dataset(in, "corpus.txt");
+      ADD_FAILURE() << "load_dataset accepted a forged corpus";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const auto& mutant : mutants) {
+    SCOPED_TRACE(mutant.fields);
+    expect_rejected(with_header(text, mutant.fields), mutant.needle);
+  }
+  // A stencil offset past the int8 Point range must not wrap silently.
+  std::string wrapped = text;
+  const std::size_t record = wrapped.find("\nstencil ") + 1;
+  const std::size_t offsets = wrapped.rfind(' ', wrapped.find('\n', record));
+  wrapped.insert(offsets + 1, "300:0:0;");
+  expect_rejected(wrapped, "offset coordinate out of range in '300:0:0'");
+}
+
 TEST(Serialize, QuarantineRecordsRoundTrip) {
   auto original = make_dataset();
   original.quarantined.push_back(
