@@ -59,18 +59,37 @@ echo "== golden corpus checksum (500 stencils, pre-two-phase reference) =="
 # dataset bit-for-bit: this golden value was recorded from the monolithic
 # implementation on the paper-sized 2-D corpus, and must hold serially and
 # under the task pool alike.
+# The checksum covers the in-memory dataset, not the file: the sha256 of
+# the corpus file and of the artifact trained from it pin the on-disk
+# bytes (recorded from the iostream/printf writers the to_chars writers
+# replaced), so a writer change cannot drift the paper-scale files.
 GOLDEN_ARGS=(profile --dims 2 --stencils 500 --samples 4 --seed 20220530 --checksum 1)
 GOLDEN_WANT="checksum 2e5c80a812ebd0f9"
+GOLDEN_CORPUS_SHA=a45a8d41bc75e19ba454c15174332df9b9736eeb8b88d10dfdf3727dd4cf63de
+GOLDEN_MODEL_SHA=47bfda7ea7a1817e1344d30b98435d9a8c9801a5fd1e34a2fc8815f23d901df0
+GOLDEN_DIR=$(mktemp -d)
+trap 'rm -rf "$GOLDEN_DIR"' EXIT
 for threads in 1 4; do
-  got=$(SMART_THREADS=$threads "$SMARTCTL" "${GOLDEN_ARGS[@]}" | grep '^checksum')
-  echo "  SMART_THREADS=$threads -> $got"
+  got=$(SMART_THREADS=$threads "$SMARTCTL" "${GOLDEN_ARGS[@]}" \
+          --out "$GOLDEN_DIR/corpus.txt" | grep '^checksum')
+  SMART_THREADS=$threads "$SMARTCTL" train --corpus "$GOLDEN_DIR/corpus.txt" \
+    --out "$GOLDEN_DIR/model.smart" >/dev/null
+  corpus_sha=$(sha256sum < "$GOLDEN_DIR/corpus.txt" | cut -d' ' -f1)
+  model_sha=$(sha256sum < "$GOLDEN_DIR/model.smart" | cut -d' ' -f1)
+  echo "  SMART_THREADS=$threads -> $got, corpus sha256 $corpus_sha, model sha256 $model_sha"
   if [[ "$got" != "$GOLDEN_WANT" ]]; then
     echo "FAIL: corpus checksum drifted from the pre-two-phase profiler" >&2
     echo "      want: $GOLDEN_WANT" >&2
     exit 1
   fi
+  if [[ "$corpus_sha" != "$GOLDEN_CORPUS_SHA" || "$model_sha" != "$GOLDEN_MODEL_SHA" ]]; then
+    echo "FAIL: golden corpus or artifact file bytes drifted" >&2
+    echo "      want corpus $GOLDEN_CORPUS_SHA, model $GOLDEN_MODEL_SHA" >&2
+    exit 1
+  fi
 done
-echo "OK: 500-stencil corpus matches the golden checksum in both thread modes"
+rm -rf "$GOLDEN_DIR"
+echo "OK: 500-stencil corpus, its file and its artifact match the golden checksums in both thread modes"
 
 echo "== train-once/serve-many round trip =="
 # A model artifact served with `advise --model` must print advice identical

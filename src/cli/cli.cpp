@@ -379,13 +379,13 @@ int cmd_serve(const CommandLine& cmd, std::ostream& out) {
   // The provider re-validates the artifact through the strict load_model
   // reader on every (re)load; the daemon starts by loading through the same
   // path, so the banner and the reload verb can never disagree about what a
-  // "valid artifact" is.
+  // "valid artifact" is. The file is read and checksummed once per load.
   options.model_path = cmd.get("model", "");
   const core::ModelProvider provider = [model_path = options.model_path] {
-    const core::ModelArtifactInfo info = core::inspect_model(model_path);
-    return core::ModelSnapshot{std::make_shared<const core::StencilMart>(
-                                   core::load_model(model_path)),
-                               info.version, info.checksum};
+    core::LoadedModel loaded = core::load_model_artifact(model_path);
+    return core::ModelSnapshot{
+        std::make_shared<const core::StencilMart>(std::move(loaded.mart)),
+        std::move(loaded.info.version), std::move(loaded.info.checksum)};
   };
   return core::run_daemon(options, provider, out);
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <ostream>
 #include <set>
 #include <stdexcept>
 
@@ -218,17 +217,17 @@ std::vector<int> OcMerger::members(int group) const {
   return out;
 }
 
-void OcMerger::save(std::ostream& out) const {
+void OcMerger::save(util::TokenWriter& out) const {
   out << "ocmerger " << num_groups_ << ' ' << group_.size();
   for (int g : group_) out << ' ' << g;
   for (int r : representatives_) out << ' ' << r;
   out << '\n';
 }
 
-OcMerger OcMerger::load(std::istream& in) {
-  util::expect_word(in, "ocmerger", "OcMerger::load");
-  const int num_groups = util::read_int(in, "ocmerger group count");
-  const std::size_t num_ocs = util::read_size(in, "ocmerger oc count");
+OcMerger OcMerger::load(util::TokenReader& in) {
+  in.expect_word("ocmerger", "OcMerger::load");
+  const int num_groups = in.read_int("ocmerger group count");
+  const std::size_t num_ocs = in.read_size("ocmerger oc count");
   if (num_groups < 1) {
     throw std::runtime_error("OcMerger::load: no groups");
   }
@@ -236,14 +235,23 @@ OcMerger OcMerger::load(std::istream& in) {
   merger.num_groups_ = num_groups;
   // Both counts are untrusted: grow per record, never size from them.
   for (std::size_t oc = 0; oc < num_ocs; ++oc) {
-    const int g = util::read_int(in, "ocmerger group id");
+    const int g = in.read_int("ocmerger group id");
     if (g < 0 || g >= num_groups) {
       throw std::runtime_error("OcMerger::load: group id out of range");
     }
     merger.group_.push_back(g);
   }
+  // The grouping partitions this build's OC table: a merger over any other
+  // table would index classifier classes by the wrong OCs.
+  const std::size_t table_size = gpusim::valid_combinations().size();
+  if (num_ocs != table_size) {
+    throw std::runtime_error("OcMerger::load: OC count " +
+                             std::to_string(num_ocs) +
+                             " does not match this build's OC table (" +
+                             std::to_string(table_size) + ")");
+  }
   for (int gid = 0; gid < num_groups; ++gid) {
-    const int rep = util::read_int(in, "ocmerger representative");
+    const int rep = in.read_int("ocmerger representative");
     if (rep < 0 || static_cast<std::size_t>(rep) >= num_ocs ||
         merger.group_[static_cast<std::size_t>(rep)] != gid) {
       throw std::runtime_error(

@@ -338,7 +338,7 @@ void RegressionTask::fit_full(RegressorKind kind) {
   fitted_ = true;
 }
 
-void RegressionTask::save_fitted(std::ostream& out) const {
+void RegressionTask::save_fitted(util::TokenWriter& out) const {
   if (!fitted_) {
     throw std::logic_error("RegressionTask::save_fitted before fit_full");
   }
@@ -353,10 +353,10 @@ void RegressionTask::save_fitted(std::ostream& out) const {
   }
 }
 
-void RegressionTask::load_fitted(std::istream& in) {
-  util::expect_word(in, "fitted", "RegressionTask::load_fitted");
+void RegressionTask::load_fitted(util::TokenReader& in) {
+  in.expect_word("fitted", "RegressionTask::load_fitted");
   const RegressorKind kind =
-      regressor_kind_from_string(util::read_token(in, "regressor kind"));
+      regressor_kind_from_string(std::string(in.token("regressor kind")));
   ml::MaxAbsScaler scaler = ml::MaxAbsScaler::load(in);
   // The NN kinds scale their inputs, so the scaler width is the model's
   // feature width — compare it against this dataset's encoding. (GBR

@@ -24,6 +24,10 @@
 // unsupported version, a truncated payload, and a corrupted payload each
 // raise a distinct std::runtime_error. Weights are written as hexfloat
 // tokens, so a loaded model predicts bit-identically to the saved one.
+//
+// Both formats are written into one std::string (util::TokenWriter) and
+// parsed in place from the whole file's bytes (util::TokenReader); the
+// istream/ostream overloads below only move those bytes.
 #pragma once
 
 #include <iosfwd>
@@ -82,5 +86,15 @@ struct ModelArtifactInfo {
 /// version, truncation, and checksum mismatch.
 ModelArtifactInfo inspect_model(std::istream& in);
 ModelArtifactInfo inspect_model(const std::string& path);
+
+/// A loaded model together with the envelope it was read from.
+struct LoadedModel {
+  StencilMart mart;
+  ModelArtifactInfo info;
+};
+
+/// load_model and inspect_model in one pass: the artifact file is read and
+/// checksummed once. The serve daemon loads (and reloads) through this.
+LoadedModel load_model_artifact(const std::string& path);
 
 }  // namespace smart::core

@@ -1,8 +1,8 @@
 #include "ml/dataset.hpp"
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize_io.hpp"
 
@@ -55,22 +55,28 @@ void MaxAbsScaler::transform_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-void MaxAbsScaler::save(std::ostream& out) const {
+void MaxAbsScaler::save(util::TokenWriter& out) const {
   out << "scaler " << scales_.size();
   for (float s : scales_) {
     out << ' ';
-    util::write_f32(out, s);
+    out.hex(s);
   }
   out << '\n';
 }
 
-MaxAbsScaler MaxAbsScaler::load(std::istream& in) {
-  util::expect_word(in, "scaler", "MaxAbsScaler::load");
-  const std::size_t n = util::read_size(in, "scaler width");
+MaxAbsScaler MaxAbsScaler::load(util::TokenReader& in) {
+  in.expect_word("scaler", "MaxAbsScaler::load");
+  const std::size_t n = in.read_size("scaler width");
+  // Untrusted width: it must fit in what is left of the input before it
+  // sizes the allocation.
+  if (n > in.bytes_left() / 2) {
+    throw std::runtime_error("MaxAbsScaler::load: width " + std::to_string(n) +
+                             " exceeds the remaining input");
+  }
   MaxAbsScaler scaler;
   scaler.scales_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaler.scales_[i] = util::read_f32(in, "scaler scale");
+    scaler.scales_[i] = in.read_f32("scaler scale");
   }
   return scaler;
 }

@@ -4,12 +4,12 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "ml/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -44,8 +44,8 @@ class MaxAbsScaler {
 
   /// Persists the fitted scales (hexfloat); the loaded scaler transforms
   /// bit-identically. Throws std::runtime_error on malformed input.
-  void save(std::ostream& out) const;
-  static MaxAbsScaler load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static MaxAbsScaler load(util::TokenReader& in);
 
  private:
   std::vector<float> scales_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "util/serialize_io.hpp"
@@ -36,29 +35,29 @@ std::vector<double> importance_from_trees(
 /// large enough to amortize the per-tree loop overhead.
 constexpr std::size_t kPredictBlock = 256;
 
-void save_params(std::ostream& out, const GbdtParams& p) {
+void save_params(util::TokenWriter& out, const GbdtParams& p) {
   out << p.rounds << ' ';
-  util::write_f64(out, p.learning_rate);
+  out.hex(p.learning_rate);
   out << ' ';
-  util::write_f64(out, p.subsample);
+  out.hex(p.subsample);
   out << ' ' << p.seed << ' ' << p.tree.max_depth << ' '
       << p.tree.min_samples_leaf << ' ';
-  util::write_f64(out, p.tree.lambda);
+  out.hex(p.tree.lambda);
   out << ' ';
-  util::write_f64(out, p.tree.min_gain);
+  out.hex(p.tree.min_gain);
   out << '\n';
 }
 
-GbdtParams load_params(std::istream& in) {
+GbdtParams load_params(util::TokenReader& in) {
   GbdtParams p;
-  p.rounds = util::read_int(in, "gbdt rounds");
-  p.learning_rate = util::read_f64(in, "gbdt learning_rate");
-  p.subsample = util::read_f64(in, "gbdt subsample");
-  p.seed = util::read_u64(in, "gbdt seed");
-  p.tree.max_depth = util::read_int(in, "gbdt max_depth");
-  p.tree.min_samples_leaf = util::read_int(in, "gbdt min_samples_leaf");
-  p.tree.lambda = util::read_f64(in, "gbdt lambda");
-  p.tree.min_gain = util::read_f64(in, "gbdt min_gain");
+  p.rounds = in.read_int("gbdt rounds");
+  p.learning_rate = in.read_f64("gbdt learning_rate");
+  p.subsample = in.read_f64("gbdt subsample");
+  p.seed = in.read_u64("gbdt seed");
+  p.tree.max_depth = in.read_int("gbdt max_depth");
+  p.tree.min_samples_leaf = in.read_int("gbdt min_samples_leaf");
+  p.tree.lambda = in.read_f64("gbdt lambda");
+  p.tree.min_gain = in.read_f64("gbdt min_gain");
   return p;
 }
 
@@ -286,19 +285,19 @@ std::vector<int> GbdtClassifier::predict(const Matrix& x) const {
   return out;
 }
 
-void GbdtRegressor::save(std::ostream& out) const {
+void GbdtRegressor::save(util::TokenWriter& out) const {
   out << "gbr ";
   save_params(out, params_);
-  util::write_f64(out, base_);
+  out.hex(base_);
   out << ' ' << trees_.size() << '\n';
   for (const RegressionTree& t : trees_) t.save(out);
 }
 
-GbdtRegressor GbdtRegressor::load(std::istream& in) {
-  util::expect_word(in, "gbr", "GbdtRegressor::load");
+GbdtRegressor GbdtRegressor::load(util::TokenReader& in) {
+  in.expect_word("gbr", "GbdtRegressor::load");
   GbdtRegressor model(load_params(in));
-  model.base_ = util::read_f64(in, "gbr base score");
-  const std::size_t num_trees = util::read_size(in, "gbr tree count");
+  model.base_ = in.read_f64("gbr base score");
+  const std::size_t num_trees = in.read_size("gbr tree count");
   model.trees_.reserve(std::min<std::size_t>(num_trees, 4096));  // untrusted
   for (std::size_t i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
@@ -307,22 +306,22 @@ GbdtRegressor GbdtRegressor::load(std::istream& in) {
   return model;
 }
 
-void GbdtClassifier::save(std::ostream& out) const {
+void GbdtClassifier::save(util::TokenWriter& out) const {
   out << "gbc ";
   save_params(out, params_);
   out << num_classes_;
   for (double b : base_scores_) {
     out << ' ';
-    util::write_f64(out, b);
+    out.hex(b);
   }
   out << '\n' << trees_.size() << '\n';
   for (const RegressionTree& t : trees_) t.save(out);
 }
 
-GbdtClassifier GbdtClassifier::load(std::istream& in) {
-  util::expect_word(in, "gbc", "GbdtClassifier::load");
+GbdtClassifier GbdtClassifier::load(util::TokenReader& in) {
+  in.expect_word("gbc", "GbdtClassifier::load");
   GbdtClassifier model(load_params(in));
-  model.num_classes_ = util::read_int(in, "gbc num_classes");
+  model.num_classes_ = in.read_int("gbc num_classes");
   if (model.num_classes_ < 2) {
     throw std::runtime_error("GbdtClassifier::load: bad class count");
   }
@@ -330,9 +329,9 @@ GbdtClassifier GbdtClassifier::load(std::istream& in) {
   // does), so a forged count fails at the first missing token instead of
   // allocating for it.
   for (int k = 0; k < model.num_classes_; ++k) {
-    model.base_scores_.push_back(util::read_f64(in, "gbc base score"));
+    model.base_scores_.push_back(in.read_f64("gbc base score"));
   }
-  const std::size_t num_trees = util::read_size(in, "gbc tree count");
+  const std::size_t num_trees = in.read_size("gbc tree count");
   if (num_trees % static_cast<std::size_t>(model.num_classes_) != 0) {
     throw std::runtime_error(
         "GbdtClassifier::load: tree count not a multiple of classes");

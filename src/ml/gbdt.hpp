@@ -4,13 +4,13 @@
 // time prediction, Sec. IV-E).
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -47,8 +47,8 @@ class GbdtRegressor {
   /// Persists the fitted ensemble (params, base score, trees). The loaded
   /// model predicts bit-identically; the feature binner is NOT persisted
   /// (fit() rebuilds it), so artifacts are inference-ready, not resumable.
-  void save(std::ostream& out) const;
-  static GbdtRegressor load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static GbdtRegressor load(util::TokenReader& in);
 
  private:
   GbdtParams params_;
@@ -92,8 +92,8 @@ class GbdtClassifier {
   /// Persists the fitted ensemble (params, base scores, trees); the loaded
   /// classifier predicts bit-identically. Binner not persisted (see
   /// GbdtRegressor::save).
-  void save(std::ostream& out) const;
-  static GbdtClassifier load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static GbdtClassifier load(util::TokenReader& in);
 
  private:
   GbdtParams params_;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
@@ -42,21 +43,33 @@ void Matrix::init_he(util::Rng& rng) {
   }
 }
 
-void Matrix::save(std::ostream& out) const {
+void Matrix::save(util::TokenWriter& out) const {
   out << "mat " << rows_ << ' ' << cols_;
   for (float v : data_) {
     out << ' ';
-    util::write_f32(out, v);
+    out.hex(v);
   }
   out << '\n';
 }
 
-Matrix Matrix::load(std::istream& in) {
-  util::expect_word(in, "mat", "Matrix::load");
-  const std::size_t rows = util::read_size(in, "Matrix::load rows");
-  const std::size_t cols = util::read_size(in, "Matrix::load cols");
+Matrix Matrix::load(util::TokenReader& in) {
+  in.expect_word("mat", "Matrix::load");
+  const std::size_t rows = in.read_size("Matrix::load rows");
+  const std::size_t cols = in.read_size("Matrix::load cols");
+  // Both dimensions are untrusted: rows*cols must not wrap (4294967296^2
+  // would size an empty matrix that inference then indexes), and the
+  // element count must fit in what is left of the input before it sizes
+  // the allocation.
+  if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+    throw std::runtime_error("Matrix::load: rows*cols overflows");
+  }
+  if (rows * cols > in.bytes_left() / 2) {
+    throw std::runtime_error("Matrix::load: " + std::to_string(rows) + "x" +
+                             std::to_string(cols) +
+                             " elements exceed the remaining input");
+  }
   Matrix m(rows, cols);
-  for (float& v : m.data_) v = util::read_f32(in, "Matrix::load element");
+  for (float& v : m.data_) v = in.read_f32("Matrix::load element");
   return m;
 }
 

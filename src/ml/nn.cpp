@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "ml/simd.hpp"
@@ -26,7 +25,7 @@ Dense::Dense(Matrix w, Matrix b)
   }
 }
 
-void Dense::save(std::ostream& out) const {
+void Dense::save(util::TokenWriter& out) const {
   out << "dense\n";
   w_.save(out);
   b_.save(out);
@@ -104,7 +103,7 @@ Matrix ReLU::backward(const Matrix& grad_out) {
   return g;
 }
 
-void ReLU::save(std::ostream& out) const { out << "relu\n"; }
+void ReLU::save(util::TokenWriter& out) const { out << "relu\n"; }
 
 // ----- Dropout -----------------------------------------------------------------
 
@@ -146,9 +145,9 @@ Matrix Dropout::backward(const Matrix& grad_out) {
   return g;
 }
 
-void Dropout::save(std::ostream& out) const {
+void Dropout::save(util::TokenWriter& out) const {
   out << "dropout ";
-  util::write_f64(out, rate_);
+  out.hex(rate_);
   out << '\n';
 }
 
@@ -183,7 +182,7 @@ Conv2D::Conv2D(int in_c, int out_c, int h, int w, int k, Matrix weights,
   }
 }
 
-void Conv2D::save(std::ostream& out) const {
+void Conv2D::save(util::TokenWriter& out) const {
   out << "conv2 " << in_c_ << ' ' << out_c_ << ' ' << h_ << ' ' << w_ << ' '
       << k_ << '\n';
   weights_.save(out);
@@ -316,7 +315,7 @@ Conv3D::Conv3D(int in_c, int out_c, int d, int h, int w, int k, Matrix weights,
   }
 }
 
-void Conv3D::save(std::ostream& out) const {
+void Conv3D::save(util::TokenWriter& out) const {
   out << "conv3 " << in_c_ << ' ' << out_c_ << ' ' << d_ << ' ' << h_ << ' '
       << w_ << ' ' << k_ << '\n';
   weights_.save(out);
@@ -479,17 +478,17 @@ void Sequential::set_training(bool training) {
   for (auto& layer : layers_) layer->set_training(training);
 }
 
-void Sequential::save(std::ostream& out) const {
+void Sequential::save(util::TokenWriter& out) const {
   out << "net " << layers_.size() << '\n';
   for (const auto& layer : layers_) layer->save(out);
 }
 
-Sequential Sequential::load(std::istream& in) {
-  util::expect_word(in, "net", "Sequential::load");
-  const std::size_t num_layers = util::read_size(in, "net layer count");
+Sequential Sequential::load(util::TokenReader& in) {
+  in.expect_word("net", "Sequential::load");
+  const std::size_t num_layers = in.read_size("net layer count");
   Sequential net;
   for (std::size_t i = 0; i < num_layers; ++i) {
-    const std::string tag = util::read_token(in, "net layer tag");
+    const std::string tag(in.token("net layer tag"));
     if (tag == "dense") {
       Matrix w = Matrix::load(in);
       Matrix b = Matrix::load(in);
@@ -497,29 +496,29 @@ Sequential Sequential::load(std::istream& in) {
     } else if (tag == "relu") {
       net.add(std::make_unique<ReLU>());
     } else if (tag == "dropout") {
-      const double rate = util::read_f64(in, "dropout rate");
+      const double rate = in.read_f64("dropout rate");
       if (rate < 0.0 || rate >= 1.0) {
         throw std::runtime_error("Sequential::load: dropout rate out of range");
       }
       // Seed 0: the RNG stream is training state; loaded nets only infer.
       net.add(std::make_unique<Dropout>(rate, 0));
     } else if (tag == "conv2") {
-      const int in_c = util::read_int(in, "conv2 in_c");
-      const int out_c = util::read_int(in, "conv2 out_c");
-      const int h = util::read_int(in, "conv2 h");
-      const int w = util::read_int(in, "conv2 w");
-      const int k = util::read_int(in, "conv2 k");
+      const int in_c = in.read_int("conv2 in_c");
+      const int out_c = in.read_int("conv2 out_c");
+      const int h = in.read_int("conv2 h");
+      const int w = in.read_int("conv2 w");
+      const int k = in.read_int("conv2 k");
       Matrix weights = Matrix::load(in);
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv2D>(in_c, out_c, h, w, k,
                                        std::move(weights), std::move(bias)));
     } else if (tag == "conv3") {
-      const int in_c = util::read_int(in, "conv3 in_c");
-      const int out_c = util::read_int(in, "conv3 out_c");
-      const int d = util::read_int(in, "conv3 d");
-      const int h = util::read_int(in, "conv3 h");
-      const int w = util::read_int(in, "conv3 w");
-      const int k = util::read_int(in, "conv3 k");
+      const int in_c = in.read_int("conv3 in_c");
+      const int out_c = in.read_int("conv3 out_c");
+      const int d = in.read_int("conv3 d");
+      const int h = in.read_int("conv3 h");
+      const int w = in.read_int("conv3 w");
+      const int k = in.read_int("conv3 k");
       Matrix weights = Matrix::load(in);
       Matrix bias = Matrix::load(in);
       net.add(std::make_unique<Conv3D>(in_c, out_c, d, h, w, k,

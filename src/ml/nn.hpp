@@ -8,12 +8,12 @@
 // volume and produce the flattened output volume.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "ml/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -43,7 +43,7 @@ class Layer {
   /// Persists the layer as a tagged token record (weights in hexfloat, so
   /// Sequential::load reproduces inference bit-exactly). Optimizer and
   /// backward state are not persisted — artifacts are inference-ready.
-  virtual void save(std::ostream& out) const = 0;
+  virtual void save(util::TokenWriter& out) const = 0;
 };
 
 class Dense final : public Layer {
@@ -64,7 +64,7 @@ class Dense final : public Layer {
   Matrix backward(const Matrix& grad_out) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::size_t output_size(std::size_t) const override { return w_.cols(); }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   Matrix w_, b_, dw_, db_;
@@ -79,7 +79,7 @@ class ReLU final : public Layer {
   std::size_t output_size(std::size_t input_size) const override {
     return input_size;
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   Matrix mask_;
@@ -102,7 +102,7 @@ class Dropout final : public Layer {
   void set_training(bool training) override { training_ = training; }
   /// Persists the rate only: the RNG stream is training state, and loaded
   /// nets are inference artifacts (infer() never consumes randomness).
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
 
  private:
   double rate_;
@@ -124,7 +124,7 @@ class Conv2D final : public Layer {
   std::size_t output_size(std::size_t) const override {
     return static_cast<std::size_t>(out_c_) * oh() * ow();
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
   std::size_t oh() const { return static_cast<std::size_t>(h_ - k_ + 1); }
   std::size_t ow() const { return static_cast<std::size_t>(w_ - k_ + 1); }
 
@@ -150,7 +150,7 @@ class Conv3D final : public Layer {
   std::size_t output_size(std::size_t) const override {
     return static_cast<std::size_t>(out_c_) * od() * oh() * ow();
   }
-  void save(std::ostream& out) const override;
+  void save(util::TokenWriter& out) const override;
   std::size_t od() const { return static_cast<std::size_t>(d_ - k_ + 1); }
   std::size_t oh() const { return static_cast<std::size_t>(h_ - k_ + 1); }
   std::size_t ow() const { return static_cast<std::size_t>(w_ - k_ + 1); }
@@ -195,8 +195,8 @@ class Sequential {
   /// Persists every layer in order; load() reconstructs a net whose infer()
   /// and forward() are bit-identical to the saved one. Throws
   /// std::runtime_error on unknown layer tags or malformed weights.
-  void save(std::ostream& out) const;
-  static Sequential load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static Sequential load(util::TokenReader& in);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 #include "util/serialize_io.hpp"
@@ -218,28 +217,28 @@ int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
   return node_index;
 }
 
-void RegressionTree::save(std::ostream& out) const {
+void RegressionTree::save(util::TokenWriter& out) const {
   out << "tree " << nodes_.size() << ' ' << depth_ << ' '
       << split_gains_.size() << '\n';
   for (const Node& n : nodes_) {
     out << n.feature << ' ';
-    util::write_f64(out, static_cast<double>(n.threshold));
+    out.hex(static_cast<double>(n.threshold));
     out << ' ' << n.left << ' ' << n.right << ' ';
-    util::write_f64(out, n.weight);
+    out.hex(n.weight);
     out << '\n';
   }
   for (const auto& [feature, gain] : split_gains_) {
     out << feature << ' ';
-    util::write_f64(out, gain);
+    out.hex(gain);
     out << '\n';
   }
 }
 
-RegressionTree RegressionTree::load(std::istream& in) {
-  util::expect_word(in, "tree", "RegressionTree::load");
-  const std::size_t num_nodes = util::read_size(in, "tree node count");
-  const int depth = util::read_int(in, "tree depth");
-  const std::size_t num_gains = util::read_size(in, "tree gain count");
+RegressionTree RegressionTree::load(util::TokenReader& in) {
+  in.expect_word("tree", "RegressionTree::load");
+  const std::size_t num_nodes = in.read_size("tree node count");
+  const int depth = in.read_int("tree depth");
+  const std::size_t num_gains = in.read_size("tree gain count");
   RegressionTree tree;
   tree.depth_ = depth;
   // The counts are untrusted: reserve at most kMaxReserve records and grow
@@ -252,20 +251,20 @@ RegressionTree RegressionTree::load(std::istream& in) {
   const long long n = static_cast<long long>(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i) {
     Node& node = tree.nodes_.emplace_back();
-    node.feature = util::read_int(in, "tree node feature");
+    node.feature = in.read_int("tree node feature");
     node.threshold =
-        static_cast<float>(util::read_f64(in, "tree node threshold", false));
-    node.left = util::read_int(in, "tree node left");
-    node.right = util::read_int(in, "tree node right");
-    node.weight = util::read_f64(in, "tree node weight");
+        static_cast<float>(in.read_f64("tree node threshold", false));
+    node.left = in.read_int("tree node left");
+    node.right = in.read_int("tree node right");
+    node.weight = in.read_f64("tree node weight");
     if (node.feature >= 0 &&
         (node.left < 0 || node.left >= n || node.right < 0 || node.right >= n)) {
       throw std::runtime_error("RegressionTree::load: dangling child link");
     }
   }
   for (std::size_t i = 0; i < num_gains; ++i) {
-    const int feature = util::read_int(in, "tree gain feature");
-    tree.split_gains_.emplace_back(feature, util::read_f64(in, "tree gain value"));
+    const int feature = in.read_int("tree gain feature");
+    tree.split_gains_.emplace_back(feature, in.read_f64("tree gain value"));
   }
   return tree;
 }

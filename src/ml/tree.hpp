@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "ml/matrix.hpp"
+#include "util/serialize_io.hpp"
 
 namespace smart::ml {
 
@@ -90,8 +90,8 @@ class RegressionTree {
   /// Persists the fitted tree (nodes, split gains, depth) as tokens; load()
   /// reproduces predict_row bit-exactly and throws std::runtime_error on
   /// malformed input, dangling child links, or non-finite weights.
-  void save(std::ostream& out) const;
-  static RegressionTree load(std::istream& in);
+  void save(util::TokenWriter& out) const;
+  static RegressionTree load(util::TokenReader& in);
 
   /// Fitted nodes (index 0 is the root) — consumed by FlatForest::build.
   const std::vector<Node>& nodes() const noexcept { return nodes_; }

@@ -15,12 +15,15 @@
 //   ParallelModelArtifact.*  -> parallel  (round trips at default threads)
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -37,8 +40,49 @@
 #include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
+// Largest single operator-new request while the probe is armed: a forged
+// count that sizes an allocation shows up here even when the load that
+// made it then fails.
+namespace {
+std::atomic<bool> g_alloc_probe_armed{false};
+std::atomic<std::size_t> g_alloc_probe_largest{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_alloc_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_alloc_probe_largest.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_alloc_probe_largest.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the free() below with the call sites' operator new and warns;
+// in a replacement operator delete the pairing is the point.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace smart::core {
 namespace {
+
+/// The largest single allocation `f` requests.
+template <class F>
+std::size_t largest_allocation_during(F&& f) {
+  g_alloc_probe_largest.store(0);
+  g_alloc_probe_armed.store(true);
+  try {
+    f();
+  } catch (...) {
+    g_alloc_probe_armed.store(false);
+    throw;
+  }
+  g_alloc_probe_armed.store(false);
+  return g_alloc_probe_largest.load();
+}
 
 void expect_bitwise(double a, double b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
@@ -135,13 +179,16 @@ void check_round_trip(RegressorKind kind) {
   }
 }
 
-/// A saved GBR artifact, reused by the corruption tests below.
-const std::string& reference_artifact() {
-  static const std::string artifact = [] {
+/// A saved artifact (GBR unless a test needs the NN sections), reused by
+/// the corruption tests below.
+const std::string& reference_artifact(RegressorKind kind = RegressorKind::kGbr) {
+  static std::vector<std::string> artifacts(3);
+  std::string& artifact = artifacts[static_cast<std::size_t>(kind)];
+  if (artifact.empty()) {
     std::stringstream buffer;
-    save_model(trained_mart(RegressorKind::kGbr), buffer);
-    return buffer.str();
-  }();
+    save_model(trained_mart(kind), buffer);
+    artifact = buffer.str();
+  }
   return artifact;
 }
 
@@ -169,9 +216,9 @@ std::string reseal(const std::string& payload) {
   return out.str();
 }
 
-/// Splits the reference artifact into (header-through-payload-line, payload).
-std::string reference_payload() {
-  const std::string& artifact = reference_artifact();
+/// The payload bytes of the reference artifact of `kind`.
+std::string reference_payload(RegressorKind kind = RegressorKind::kGbr) {
+  const std::string& artifact = reference_artifact(kind);
   const std::size_t header_end = artifact.find('\n', artifact.find("payload"));
   const std::size_t checksum_pos = artifact.rfind("checksum ");
   return artifact.substr(header_end + 1, checksum_pos - header_end - 1);
@@ -183,10 +230,10 @@ std::vector<ml::GbdtClassifier> saved_classifiers(const StencilMart& mart) {
   std::stringstream buffer;
   save_model(mart, buffer);
   const std::string artifact = buffer.str();
-  std::istringstream in(artifact.substr(artifact.find("\nclassifiers ") + 1));
-  util::expect_word(in, "classifiers", "classifier section");
-  std::vector<ml::GbdtClassifier> classifiers(
-      util::read_size(in, "classifier count"));
+  util::TokenReader in(
+      std::string_view(artifact).substr(artifact.find("\nclassifiers ") + 1));
+  in.expect_word("classifiers", "classifier section");
+  std::vector<ml::GbdtClassifier> classifiers(in.read_size("classifier count"));
   for (auto& clf : classifiers) clf = ml::GbdtClassifier::load(in);
   return classifiers;
 }
@@ -249,6 +296,7 @@ TEST(ModelArtifact, TrainOnEmptyCorpusThrows) {
 
 TEST(ModelArtifact, MissingFileThrows) {
   EXPECT_THROW(load_model("/nonexistent/model.smart"), std::runtime_error);
+  EXPECT_THROW(load_model(testing::TempDir()), std::runtime_error);
 }
 
 TEST(ModelArtifact, RejectsBadMagic) {
@@ -448,6 +496,63 @@ TEST(ModelArtifact, RejectsForgedSectionCounts) {
     payload.replace(begin, payload.find(' ', begin) - begin, "300000000");
     check_rejected_everywhere(reseal(payload), needle);
   }
+}
+
+/// `payload` with the first `count_words` tokens after `tag` (the tag's
+/// counts) replaced by `counts`, re-sealed.
+std::string with_counts(std::string payload, const std::string& tag,
+                        int count_words, const std::string& counts) {
+  const std::size_t begin = payload.find("\n" + tag + " ") + tag.size() + 2;
+  std::size_t end = begin;
+  for (int i = 0; i < count_words; ++i) end = payload.find_first_of(" \n", end + 1);
+  payload.replace(begin, end - begin, counts);
+  return reseal(payload);
+}
+
+/// A mutant whose forged count would size `forged_bytes` if it were trusted:
+/// rejected everywhere, and load_model allocates nothing near that size.
+void check_forged_count_rejected(const std::string& mutant,
+                                 const std::string& needle,
+                                 std::size_t forged_bytes) {
+  check_rejected_everywhere(mutant, needle);
+  const std::size_t largest = largest_allocation_during([&mutant] {
+    std::stringstream in(mutant);
+    EXPECT_THROW(load_model(in), std::runtime_error);
+  });
+  EXPECT_LT(largest, forged_bytes / 8) << "load_model allocated " << largest;
+}
+
+TEST(ModelArtifact, RejectsForgedMatrixShapeWithoutAllocating) {
+  const std::string payload = reference_payload(RegressorKind::kMlp);
+  // 2^32 x 2^32 wraps rows*cols to 0: trusted, it loads an empty weight
+  // matrix that inference indexes out of bounds.
+  check_rejected_everywhere(with_counts(payload, "mat", 2, "4294967296 4294967296"),
+                            "Matrix::load: rows*cols overflows");
+  // 50M x 1 floats (200 MB) do not overflow; they exceed the payload.
+  check_forged_count_rejected(with_counts(payload, "mat", 2, "50000000 1"),
+                              "exceed the remaining input", 200000000);
+}
+
+TEST(ModelArtifact, RejectsForgedScalerWidthWithoutAllocating) {
+  const std::string payload = reference_payload(RegressorKind::kMlp);
+  // Trusted, 2^40 throws std::bad_alloc and 50M allocates 200 MB before
+  // the parse fails.
+  check_rejected_everywhere(with_counts(payload, "scaler", 1, "1099511627776"),
+                            "MaxAbsScaler::load: width 1099511627776 exceeds");
+  check_forged_count_rejected(with_counts(payload, "scaler", 1, "50000000"),
+                              "MaxAbsScaler::load: width 50000000 exceeds",
+                              200000000);
+}
+
+TEST(ModelArtifact, RejectsMergerOverAnotherOcTable) {
+  // A self-consistent grouping of 2 OCs: every group id and representative
+  // is valid, but the table is not this build's.
+  std::string payload = reference_payload();
+  const std::size_t begin = payload.find("\nocmerger ") + 1;
+  payload.replace(begin, payload.find('\n', begin) - begin, "ocmerger 1 2 0 0 0");
+  check_rejected_everywhere(reseal(payload),
+                            "OcMerger::load: OC count 2 does not match this "
+                            "build's OC table");
 }
 
 TEST(ModelArtifact, PayloadParseErrorsCarrySourceAndByteOffset) {

@@ -28,7 +28,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -89,11 +88,12 @@ std::vector<std::size_t> sample_idxs(const RegressionTask& task) {
 std::vector<double> reference_predictions(const RegressionTask& task,
                                           std::span<const std::size_t> idxs,
                                           std::size_t gpu) {
-  std::stringstream saved;
-  task.save_fitted(saved);
-  util::expect_word(saved, "fitted", "reference");
+  util::TokenWriter writer;
+  task.save_fitted(writer);
+  util::TokenReader saved(writer.str());
+  saved.expect_word("fitted", "reference");
   const RegressorKind kind =
-      regressor_kind_from_string(util::read_token(saved, "kind"));
+      regressor_kind_from_string(std::string(saved.token("kind")));
   const ml::MaxAbsScaler scaler = ml::MaxAbsScaler::load(saved);
 
   const EncodingCache& cache = task.encoding_cache();
@@ -119,13 +119,13 @@ std::vector<double> reference_predictions(const RegressionTask& task,
     };
     ml::Matrix preds;
     if (kind == RegressorKind::kMlp) {
-      util::expect_word(saved, "nnreg", "reference");
+      saved.expect_word("nnreg", "reference");
       ml::load_train_config(saved);
       preds = load_net().forward(scaler.transform(aux));
     } else {
-      util::expect_word(saved, "convmlp", "reference");
-      const std::size_t conv_out = util::read_size(saved, "conv_out");
-      const std::size_t mlp_out = util::read_size(saved, "mlp_out");
+      saved.expect_word("convmlp", "reference");
+      const std::size_t conv_out = saved.read_size("conv_out");
+      const std::size_t mlp_out = saved.read_size("mlp_out");
       ml::load_train_config(saved);
       ml::Sequential conv = load_net();
       ml::Sequential mlp = load_net();

@@ -129,6 +129,8 @@ TEST(Serialize, RejectsNonPositiveOrNonFiniteTime) {
 
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(load_dataset("/nonexistent/dataset.txt"), std::runtime_error);
+  // A directory opens but cannot be read (nor sized: not std::bad_alloc).
+  EXPECT_THROW(load_dataset(testing::TempDir()), std::runtime_error);
 }
 
 TEST(Serialize, ParseErrorsCarrySourceAndLineContext) {
@@ -212,6 +214,33 @@ TEST(Serialize, RejectsHeaderValuesPastTheGeneratorsLimits) {
   const std::size_t offsets = wrapped.rfind(' ', wrapped.find('\n', record));
   wrapped.insert(offsets + 1, "300:0:0;");
   expect_rejected(wrapped, "offset coordinate out of range in '300:0:0'");
+}
+
+TEST(Serialize, RejectsMalformedOffsetTokens) {
+  // Each offset is exactly x:y:z of decimal ints. sscanf("%d:%d:%d") took
+  // a fourth field or trailing junk and dropped it silently.
+  std::stringstream buffer;
+  save_dataset(make_dataset(), buffer);
+  const std::string text = buffer.str();
+  const std::size_t record = text.find("\nstencil ") + 1;
+  const std::size_t offsets = text.rfind(' ', text.find('\n', record)) + 1;
+  for (const char* bad : {"1:0:0:0;", "1:0:0x;", "1:0;", "1::0;", "a:0:0;",
+                          ";", "+1:0:0;"}) {
+    SCOPED_TRACE(bad);
+    std::string corrupted = text;
+    corrupted.insert(offsets, bad);
+    std::stringstream in(corrupted);
+    try {
+      load_dataset(in, "corpus.txt");
+      ADD_FAILURE() << "load_dataset accepted a malformed offset";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("corpus.txt:"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("bad offset token"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialize, QuarantineRecordsRoundTrip) {

@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "ml/simd.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/serialize_io.hpp"
 #include "util/task_pool.hpp"
 
 namespace smart::ml {
@@ -313,9 +313,10 @@ TEST(FlatForest, LockstepSurvivesSaveLoad) {
   GbdtRegressor reg(params);
   reg.fit(x, y);
 
-  std::stringstream buf;
+  util::TokenWriter buf;
   reg.save(buf);
-  const GbdtRegressor loaded = GbdtRegressor::load(buf);
+  util::TokenReader in(buf.str());
+  const GbdtRegressor loaded = GbdtRegressor::load(in);
   const std::vector<double> a = reg.predict(x);
   const std::vector<double> b = loaded.predict(x);
   for (std::size_t r = 0; r < x.rows(); ++r) expect_bitwise(a[r], b[r]);
@@ -372,7 +373,7 @@ TEST(FlatForest, BuildRejectsNonPreorderLinks) {
   // A corrupt artifact with a back-linking child (in range, so it survives
   // RegressionTree::load's dangling-link check) would cycle the pointer
   // walk; FlatForest::build must reject it instead of trusting its depth.
-  std::stringstream corrupt(
+  util::TokenReader corrupt(
       "tree 3 1 0\n"
       "0 0.5 0 2 0.0\n"   // root: left child links BACK to the root
       "-1 0.0 -1 -1 1.0\n"
