@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   const codegen::CudaKernelGenerator generator;
   const auto kernel =
       generator.generate(pattern, winner.oc, *winner.best_setting, problem);
-  const auto harness = generator.generate_harness(
-      pattern, winner.oc, *winner.best_setting, problem, kernel);
+  const auto harness =
+      generator.generate_harness(pattern, winner.oc, *winner.best_setting, kernel);
 
   if (outdir.empty()) {
     std::cout << "---- " << kernel.name << ".cu ----\n" << kernel.source;

@@ -828,7 +828,7 @@ fi
 serve_pid=""
 echo "OK: sanitized daemon survived the malformed corpus and mutants over 4 connections, then drained to rc 0 on SIGTERM"
 
-echo "== ThreadSanitizer build over the concurrent serve path =="
+echo "== ThreadSanitizer build over the concurrent serve and training paths =="
 # A TSan-instrumented daemon runs a compressed chaos leg: 8 concurrent
 # jittered connections with a SIGHUP hot reload mid-traffic, then a full
 # drain. Any data race in the session/batcher/reload interplay aborts the
@@ -838,9 +838,11 @@ TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
 cmake -B "$TSAN_DIR" -S . -DSMART_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_DIR" -j"$(nproc)" --target smart_tests smartctl serve_harness
 # The in-process runtime suite first: sessions, the accept loop, the
-# in-flight and capacity sheds, idle timeouts and injected faults.
+# in-flight and capacity sheds, idle timeouts and injected faults. Then
+# training, whose five GBDT/NN fits share the pool as concurrent tasks.
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR/tests/smart_tests" --gtest_brief=1 \
-  --gtest_filter='ServeRuntime.*' | sed 's/^/  /'
+  --gtest_filter='ServeRuntime.*:Determinism.TrainedArtifactThreadCountInvariant:RegressionTree.*:GbdtClassifier.*:GbdtRegressor.*' \
+  | sed 's/^/  /'
 rm -f "$SOCK"
 cp "$ARTDIR/model.smart" "$ARTDIR/model_live.smart"
 TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR/tools/smartctl" serve \

@@ -313,8 +313,7 @@ GeneratedKernel CudaKernelGenerator::generate(
 
 std::string CudaKernelGenerator::generate_harness(
     const stencil::StencilPattern& pattern, const gpusim::OptCombination& oc,
-    const gpusim::ParamSetting& s, const gpusim::ProblemSize& problem,
-    const GeneratedKernel& kernel) const {
+    const gpusim::ParamSetting& s, const GeneratedKernel& kernel) const {
   const int dims = pattern.dims();
   const bool merging = oc.bm || oc.cm;
   const int tile_x = s.block_x * ((merging && s.merge_dim == 0) ? s.merge_factor : 1);

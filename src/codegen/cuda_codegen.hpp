@@ -46,10 +46,10 @@ class CudaKernelGenerator {
 
   /// A host-side harness around `kernel`: allocation, launch configuration
   /// mirroring the cost model's block decomposition, a golden CPU check.
+  /// The problem extents come from the kernel's NX/NY/NZ defines.
   std::string generate_harness(const stencil::StencilPattern& pattern,
                                const gpusim::OptCombination& oc,
                                const gpusim::ParamSetting& setting,
-                               const gpusim::ProblemSize& problem,
                                const GeneratedKernel& kernel) const;
 };
 

@@ -33,16 +33,18 @@ void StencilMart::fit_models() {
   merger_.fit(*dataset_);
 
   // One classifier per GPU (the paper trains per target architecture).
+  // Every GPU's labels are checked before any fit starts, so a corpus that
+  // cannot train fails with the same message at any thread count.
   const ml::Matrix features = stencil_feature_matrix(*dataset_);
-  classifiers_.clear();
+  std::vector<ml::Matrix> gpu_x;
+  std::vector<std::vector<int>> gpu_y(dataset_->num_gpus());
   for (std::size_t g = 0; g < dataset_->num_gpus(); ++g) {
     const auto labels = true_groups(*dataset_, merger_, g);
     std::vector<std::size_t> rows;
-    std::vector<int> y;
     for (std::size_t s = 0; s < labels.size(); ++s) {
       if (labels[s] >= 0) {
         rows.push_back(s);
-        y.push_back(labels[s]);
+        gpu_y[g].push_back(labels[s]);
       }
     }
     if (rows.empty()) {
@@ -54,13 +56,29 @@ void StencilMart::fit_models() {
           dataset_->gpus[g].name +
           "' (every work unit crashed or was quarantined)");
     }
-    ml::GbdtClassifier clf;
-    clf.fit(features.gather_rows(rows), y, merger_.num_groups());
-    classifiers_.push_back(std::move(clf));
+    gpu_x.push_back(features.gather_rows(rows));
   }
 
-  regression_ = std::make_unique<RegressionTask>(*dataset_, config_.regression);
-  regression_->fit_full(config_.regressor);
+  // The five ensembles are independent and each owns a fixed seed, so they
+  // fit as concurrent pool tasks, each into its own slot; task 0, the
+  // regressor, is the longest and is claimed first.
+  classifiers_.assign(dataset_->num_gpus(), ml::GbdtClassifier{});
+  std::unique_ptr<RegressionTask> regression;
+  {
+    const util::PhaseTimer timer("core.mart.fit_models",
+                                 classifiers_.size() + 1);
+    util::parallel_for(classifiers_.size() + 1, [&](std::size_t i) {
+      if (i == 0) {
+        regression =
+            std::make_unique<RegressionTask>(*dataset_, config_.regression);
+        regression->fit_full(config_.regressor);
+      } else {
+        classifiers_[i - 1].fit(gpu_x[i - 1], gpu_y[i - 1],
+                                merger_.num_groups());
+      }
+    });
+  }
+  regression_ = std::move(regression);
   trained_ = true;
 }
 

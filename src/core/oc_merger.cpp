@@ -264,8 +264,13 @@ OcMerger OcMerger::load(util::TokenReader& in) {
 
 std::string OcMerger::group_name(int group) const {
   const auto& all = gpusim::valid_combinations();
-  return "G" + std::to_string(group) + "[" +
-         all[static_cast<std::size_t>(representative(group))].name() + "]";
+  const std::string number = std::to_string(group);
+  const std::string oc =
+      all[static_cast<std::size_t>(representative(group))].name();
+  std::string name;
+  name.reserve(number.size() + oc.size() + 3);
+  name.append("G").append(number).append("[").append(oc).append("]");
+  return name;
 }
 
 }  // namespace smart::core

@@ -180,8 +180,7 @@ void GbdtClassifier::fit(const Matrix& x, std::span<const int> labels,
   for (int round = 0; round < params_.rounds; ++round) {
     const auto rows = subsample_rows(n, params_.subsample, rng);
     for (int k = 0; k < num_classes; ++k) {
-      // Per-row softmax gradients write disjoint g[r]/h[r] slots.
-      util::parallel_for(n, [&](std::size_t r) {
+      for (std::size_t r = 0; r < n; ++r) {
         const double* srow = &scores[r * static_cast<std::size_t>(num_classes)];
         double max_score = srow[0];
         for (int j = 1; j < num_classes; ++j) max_score = std::max(max_score, srow[j]);
@@ -192,13 +191,13 @@ void GbdtClassifier::fit(const Matrix& x, std::span<const int> labels,
         const double pk = std::exp(srow[k] - max_score) / denom;
         g[r] = pk - (labels[r] == k ? 1.0 : 0.0);
         h[r] = std::max(1e-6, pk * (1.0 - pk));
-      });
+      }
       RegressionTree tree;
       tree.fit(x, binned, binner_, g, h, rows, params_.tree);
-      util::parallel_for(n, [&](std::size_t r) {
+      for (std::size_t r = 0; r < n; ++r) {
         scores[r * static_cast<std::size_t>(num_classes) + static_cast<std::size_t>(k)] +=
             params_.learning_rate * tree.predict_row(x.row(r));
-      });
+      }
       trees_.push_back(std::move(tree));
     }
   }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/serialize_io.hpp"
-#include "util/task_pool.hpp"
 
 namespace smart::ml {
 
@@ -76,14 +75,21 @@ std::vector<std::uint8_t> FeatureBinner::bin_matrix(const Matrix& x) const {
 
 namespace {
 
-struct SplitChoice {
-  int feature = -1;
-  int bin = -1;          // go left if bin(value) <= bin
-  double gain = 0.0;
-  float threshold = 0.0;
+/// One (feature, bin) cell of a node histogram.
+struct HistBin {
+  double g = 0.0;
+  double h = 0.0;
+  int count = 0;
 };
 
 }  // namespace
+
+/// Buffers one fit reuses at every node: the width x kMaxBins histogram and
+/// the right-hand rows of the partition.
+struct RegressionTree::BuildScratch {
+  std::vector<HistBin> hist;
+  std::vector<std::size_t> right;
+};
 
 void RegressionTree::fit(const Matrix& x, std::span<const std::uint8_t> binned,
                          const FeatureBinner& binner,
@@ -94,14 +100,17 @@ void RegressionTree::fit(const Matrix& x, std::span<const std::uint8_t> binned,
   nodes_.clear();
   split_gains_.clear();
   depth_ = 0;
-  std::vector<std::size_t> mutable_rows(rows.begin(), rows.end());
-  build(x, binned, binner, gradients, hessians, mutable_rows, params, 0);
+  std::vector<std::size_t> index(rows.begin(), rows.end());
+  BuildScratch scratch{
+      std::vector<HistBin>(x.cols() * static_cast<std::size_t>(kMaxBins)),
+      std::vector<std::size_t>(index.size())};
+  build(x, binned, binner, gradients, hessians, index, scratch, params, 0);
 }
 
 int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
                           const FeatureBinner& binner,
                           std::span<const double> g, std::span<const double> h,
-                          std::vector<std::size_t>& rows,
+                          std::span<std::size_t> rows, BuildScratch& scratch,
                           const TreeParams& params, int depth) {
   depth_ = std::max(depth_, depth);
   double g_total = 0.0;
@@ -121,32 +130,38 @@ int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
     return node_index;
   }
 
-  // Best split: one histogram pass per feature. Features are independent,
-  // so big nodes fan the search over the task pool; folding the per-feature
-  // candidates in feature order with a strict > comparison picks exactly
-  // the split the serial scan picks (ties keep the lowest feature index).
-  const double parent_score = g_total * g_total / (h_total + params.lambda);
+  // One pass over the node's rows fills every feature's histogram; each
+  // (feature, bin) cell still adds its rows in row order. Interleaving the
+  // features breaks the add chain that consecutive same-bin rows form.
   const std::size_t width = x.cols();
-  const auto best_for_feature = [&](std::size_t f, std::vector<double>& gh,
-                                    std::vector<int>& counts) {
-    SplitChoice choice;
-    const int nbins = binner.bins(f);
-    if (nbins < 2) return choice;
-    std::fill(gh.begin(), gh.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t r : rows) {
-      const int b = binned[r * width + f];
-      gh[static_cast<std::size_t>(b) * 2] += g[r];
-      gh[static_cast<std::size_t>(b) * 2 + 1] += h[r];
-      ++counts[b];
+  std::vector<HistBin>& hist = scratch.hist;
+  std::fill(hist.begin(), hist.end(), HistBin{});
+  for (std::size_t r : rows) {
+    const std::uint8_t* row_bins = &binned[r * width];
+    for (std::size_t f = 0; f < width; ++f) {
+      HistBin& cell = hist[f * static_cast<std::size_t>(kMaxBins) + row_bins[f]];
+      cell.g += g[r];
+      cell.h += h[r];
+      ++cell.count;
     }
+  }
+
+  // Features in order, bins in order, strict >: ties keep the lowest
+  // (feature, bin).
+  const double parent_score = g_total * g_total / (h_total + params.lambda);
+  int best_feature = -1;
+  int best_bin = -1;  // go left if bin(value) <= best_bin
+  double best_gain = 0.0;
+  for (std::size_t f = 0; f < width; ++f) {
+    const int nbins = binner.bins(f);
+    const HistBin* cells = &hist[f * static_cast<std::size_t>(kMaxBins)];
     double gl = 0.0;
     double hl = 0.0;
     int left_count = 0;
     for (int b = 0; b + 1 < nbins; ++b) {
-      gl += gh[static_cast<std::size_t>(b) * 2];
-      hl += gh[static_cast<std::size_t>(b) * 2 + 1];
-      left_count += counts[b];
+      gl += cells[b].g;
+      hl += cells[b].h;
+      left_count += cells[b].count;
       const int right_count = static_cast<int>(rows.size()) - left_count;
       if (left_count < params.min_samples_leaf ||
           right_count < params.min_samples_leaf) {
@@ -156,61 +171,40 @@ int RegressionTree::build(const Matrix& x, std::span<const std::uint8_t> binned,
       const double hr = h_total - hl;
       const double gain = gl * gl / (hl + params.lambda) +
                           gr * gr / (hr + params.lambda) - parent_score;
-      if (gain > choice.gain) {
-        choice.feature = static_cast<int>(f);
-        choice.bin = b;
-        choice.gain = gain;
+      if (gain > best_gain) {
+        best_feature = static_cast<int>(f);
+        best_bin = b;
+        best_gain = gain;
       }
     }
-    return choice;
-  };
-  const auto pick = [](SplitChoice a, SplitChoice b) {
-    return b.gain > a.gain ? b : a;
-  };
-  SplitChoice best;
-  if (rows.size() >= 2048 && width > 1) {
-    best = util::parallel_reduce(
-        width, SplitChoice{},
-        [&](std::size_t f) {
-          std::vector<double> gh(static_cast<std::size_t>(kMaxBins) * 2);
-          std::vector<int> counts(kMaxBins);
-          return best_for_feature(f, gh, counts);
-        },
-        pick);
-  } else {
-    std::vector<double> gh(static_cast<std::size_t>(kMaxBins) * 2);
-    std::vector<int> counts(kMaxBins);
-    for (std::size_t f = 0; f < width; ++f) {
-      best = pick(best, best_for_feature(f, gh, counts));
+  }
+  if (best_feature < 0 || best_gain < params.min_gain) return node_index;
+  split_gains_.emplace_back(best_feature, best_gain);
+
+  // Order-preserving partition in place: left rows compact to the front,
+  // right rows park in scratch and are copied back behind them. The
+  // threshold is the largest left-side value, so prediction needs no binner
+  // (bin b spans (edge[b-1], edge[b]]).
+  const auto feature = static_cast<std::size_t>(best_feature);
+  float threshold = -std::numeric_limits<float>::infinity();
+  std::size_t num_left = 0;
+  std::size_t num_right = 0;
+  for (std::size_t r : rows) {
+    if (binned[r * width + feature] <= best_bin) {
+      rows[num_left++] = r;
+      threshold = std::max(threshold, x.at(r, feature));
+    } else {
+      scratch.right[num_right++] = r;
     }
   }
-  if (best.feature < 0 || best.gain < params.min_gain) return node_index;
-  split_gains_.emplace_back(best.feature, best.gain);
+  std::copy_n(scratch.right.begin(), num_right, rows.begin() + num_left);
 
-  // Partition rows by the chosen bin boundary.
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  for (std::size_t r : rows) {
-    const int b = binned[r * width + static_cast<std::size_t>(best.feature)];
-    (b <= best.bin ? left_rows : right_rows).push_back(r);
-  }
-  rows.clear();
-  rows.shrink_to_fit();
-
-  // Record a real-valued threshold so prediction needs no binner: the
-  // midpoint is the bin's upper edge.
-  // upper_bound semantics: bin b spans (edge[b-1], edge[b]].
-  // Reconstruct the edge via a probe value search is overkill; store the
-  // max left-side feature value instead.
-  float threshold = -std::numeric_limits<float>::infinity();
-  for (std::size_t r : left_rows) {
-    threshold = std::max(threshold, x.at(r, static_cast<std::size_t>(best.feature)));
-  }
-
-  const int left = build(x, binned, binner, g, h, left_rows, params, depth + 1);
-  const int right = build(x, binned, binner, g, h, right_rows, params, depth + 1);
+  const int left = build(x, binned, binner, g, h, rows.first(num_left),
+                         scratch, params, depth + 1);
+  const int right = build(x, binned, binner, g, h, rows.subspan(num_left),
+                          scratch, params, depth + 1);
   Node& node = nodes_[static_cast<std::size_t>(node_index)];
-  node.feature = best.feature;
+  node.feature = best_feature;
   node.threshold = threshold;
   node.left = left;
   node.right = right;

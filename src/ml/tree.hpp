@@ -97,10 +97,12 @@ class RegressionTree {
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
 
  private:
+  struct BuildScratch;  // per-fit buffers every node reuses (tree.cpp)
+
   int build(const Matrix& x, std::span<const std::uint8_t> binned,
             const FeatureBinner& binner, std::span<const double> g,
-            std::span<const double> h, std::vector<std::size_t>& rows,
-            const TreeParams& params, int depth);
+            std::span<const double> h, std::span<std::size_t> rows,
+            BuildScratch& scratch, const TreeParams& params, int depth);
 
   std::vector<Node> nodes_;
   std::vector<std::pair<int, double>> split_gains_;

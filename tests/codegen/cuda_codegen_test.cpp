@@ -189,7 +189,7 @@ TEST(CudaCodegen, HarnessMentionsLaunchAndVerification) {
   gpusim::ParamSetting s;
   const auto problem = gpusim::ProblemSize::paper_default(2);
   const auto kernel = gen.generate(pattern, {}, s, problem);
-  const auto harness = gen.generate_harness(pattern, {}, s, problem, kernel);
+  const auto harness = gen.generate_harness(pattern, {}, s, kernel);
   EXPECT_TRUE(braces_balanced(harness));
   EXPECT_NE(harness.find("cudaMalloc"), std::string::npos);
   EXPECT_NE(harness.find(kernel.name + "<<<grid, block>>>"), std::string::npos);

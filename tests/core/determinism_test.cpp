@@ -1,14 +1,21 @@
 // Locks in the task-pool determinism contract at the pipeline level: the
-// profiling corpus and the tuners must produce bit-identical results
-// whether the loops run on one thread or on the whole pool. SerialSection
+// profiling corpus, the tuners and the trained artifact must come out
+// bit-identical whether the loops run on one thread or on the whole pool. SerialSection
 // forces the 1-thread path in-process, so both runs share one binary and
 // one global pool (see util/task_pool.hpp).
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "core/mart.hpp"
 #include "core/profile_dataset.hpp"
+#include "core/serialize.hpp"
 #include "gpusim/tuner.hpp"
 #include "stencil/pattern.hpp"
 #include "util/task_pool.hpp"
@@ -72,6 +79,68 @@ TEST(Determinism, DatasetChecksumThreadCountInvariant) {
   // Stable across repeated parallel builds too.
   EXPECT_EQ(dataset_checksum(build_profile_dataset(small_config(2))),
             serial_sum);
+}
+
+MartConfig train_config(RegressorKind kind) {
+  MartConfig cfg;
+  cfg.regressor = kind;
+  cfg.regression.instance_cap = 1500;
+  cfg.regression.epochs = 2;
+  cfg.regression.mlp_hidden_layers = 2;
+  cfg.regression.mlp_width = 16;
+  return cfg;
+}
+
+/// save_model bytes of a mart trained on `corpus`, or the train error text.
+std::string train_and_save(const ProfileDataset& corpus, RegressorKind kind) {
+  StencilMart mart(train_config(kind));
+  try {
+    mart.train(corpus);
+  } catch (const std::runtime_error& e) {
+    return std::string("error: ") + e.what();
+  }
+  std::ostringstream out;
+  save_model(mart, out);
+  return out.str();
+}
+
+TEST(Determinism, TrainedArtifactThreadCountInvariant) {
+  // The merger, the per-GPU classifiers and the regressor fit as concurrent
+  // pool tasks; the artifact must not depend on how they interleave.
+  ProfileConfig cfg = small_config(2);
+  cfg.num_stencils = 40;
+  const ProfileDataset corpus = build_profile_dataset(cfg);
+  for (const RegressorKind kind : {RegressorKind::kGbr, RegressorKind::kMlp}) {
+    const std::string pooled = train_and_save(corpus, kind);
+    std::string serial;
+    {
+      util::SerialSection force_serial;
+      serial = train_and_save(corpus, kind);
+    }
+    ASSERT_EQ(pooled.rfind("error: ", 0), std::string::npos) << pooled;
+    EXPECT_EQ(pooled.size(), serial.size()) << to_string(kind);
+    EXPECT_TRUE(pooled == serial) << to_string(kind);
+    EXPECT_TRUE(pooled == train_and_save(corpus, kind)) << to_string(kind);
+  }
+
+  // GPUs 1 and 2 have no labels: the error names the first of them, before
+  // any fit starts, at any thread count.
+  ASSERT_GE(corpus.num_gpus(), 3u);
+  ProfileDataset unlabelled = corpus;
+  for (auto& per_gpu : unlabelled.times) {
+    for (const std::size_t g : {1u, 2u}) {
+      for (auto& samples : per_gpu[g]) {
+        samples.assign(samples.size(),
+                       std::numeric_limits<double>::quiet_NaN());
+      }
+    }
+  }
+  const std::string want =
+      "error: StencilMart::train: no labelled stencils for GPU '" +
+      corpus.gpus[1].name + "' (every work unit crashed or was quarantined)";
+  EXPECT_EQ(train_and_save(unlabelled, RegressorKind::kGbr), want);
+  util::SerialSection force_serial;
+  EXPECT_EQ(train_and_save(unlabelled, RegressorKind::kGbr), want);
 }
 
 TEST(Determinism, RandomSearchTunerTuneAllThreadCountInvariant) {
